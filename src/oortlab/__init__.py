@@ -32,6 +32,7 @@ from .classify import (
     ShapeVerdict,
     StructureReport,
     cyclic_by_p_subgroups,
+    cyclic_sylow_report,
     even_structure_report,
     is_cyclic_by_p,
     is_o_group_by_criterion,

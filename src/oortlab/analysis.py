@@ -2,8 +2,10 @@
 subgroups, O_pi, derived/chief structure, chief-factor linear algebra.
 
 Centralizers and normalizers filter the exhaustive element store (all
-ambient groups here fit under ENUM_CAP); the filters are vectorized with
-numpy so that even the 20160-element case stays fast.
+ambient groups here fit under ENUM_CAP).  The store, its numpy
+image/inverse tables and the lazily derived generators of each subgroup
+all live in :class:`~oortlab.perm.Group`; the filters here are vectorized
+over those tables so that even the 20160-element case stays fast.
 """
 
 from __future__ import annotations
@@ -16,21 +18,10 @@ import numpy as np
 
 from .errors import NonSubgroup, NotNormal, NotPGroup, TooLarge
 from .gf import factorize
-from .perm import Group, Perm, identity, mulclose, quotient_by
+from .perm import Group, Perm, identity, mulclose, orbit, quotient_by
 
 
 # -- vectorized element store ------------------------------------------
-
-
-def _elt_arrays(G: Group) -> tuple[np.ndarray, np.ndarray]:
-    """(E, Einv): row k is the image table of element k / its inverse."""
-    cache = getattr(G, "_np_cache", None)
-    if cache is None:
-        E = np.array(G.element_list(), dtype=np.int32)
-        Einv = np.argsort(E, axis=1).astype(np.int32)
-        cache = (E, Einv)
-        G._np_cache = cache  # type: ignore[attr-defined]
-    return cache
 
 
 def _rows_in_set(rows: np.ndarray, els: frozenset) -> np.ndarray:
@@ -46,7 +37,7 @@ def _as_perms(S) -> list[Perm]:
 def centralizer(G: Group, S) -> Group:
     """C_G(S) for S a Group or an iterable of elements of G."""
     perms = _as_perms(S)
-    E, _ = _elt_arrays(G)
+    E, _ = G.element_arrays()
     mask = np.ones(len(E), dtype=bool)
     for s in perms:
         s_arr = np.asarray(s, dtype=np.int32)
@@ -67,7 +58,7 @@ def normalizer(G: Group, H: Group) -> Group:
             raise NonSubgroup("H is not a subgroup of G")
     if H.is_trivial():
         return G
-    E, Einv = _elt_arrays(G)
+    E, Einv = G.element_arrays()
     mask = np.ones(len(E), dtype=bool)
     for h in H.generators:
         h_arr = np.asarray(h, dtype=np.int32)
@@ -81,18 +72,7 @@ def normalizer(G: Group, H: Group) -> Group:
 
 
 def conjugacy_class(G: Group, x: Perm) -> set[Perm]:
-    orbit = {x}
-    frontier = [x]
-    while frontier:
-        new = []
-        for y in frontier:
-            for g in G.generators:
-                z = g * y * g.inv()
-                if z not in orbit:
-                    orbit.add(z)
-                    new.append(z)
-        frontier = new
-    return orbit
+    return set(orbit(x, G.generators, lambda g, y: g * y * g.inv()))
 
 
 def normal_closure(G: Group, gens: Sequence[Perm], cap: Optional[int] = None) -> Optional[Group]:

@@ -34,8 +34,8 @@ from .analysis import (
     sylow,
 )
 from .errors import PreconditionFailed
-from .gf import factorize, is_prime
-from .perm import Group, Perm, quotient_by
+from .gf import MAX_Q, factorize, is_prime
+from .perm import Group, Perm, orbit, quotient_by
 
 
 # -- shapes -------------------------------------------------------------
@@ -127,18 +127,6 @@ def is_cyclic_by_p(H: Group, p: int) -> tuple[bool, Optional[tuple[Group, int]]]
     return False, None
 
 
-def _reduced_gens(G: Group) -> list[Perm]:
-    """A small generating set for conjugation sweeps (constructors often
-    hand over a dozen generators; two or three usually suffice)."""
-    if len(G.generators) <= 3:
-        return list(G.generators)
-    cached = getattr(G, "_small_gens", None)
-    if cached is None:
-        cached = list(Group.from_element_set(G.degree, G.element_set()).generators)
-        G._small_gens = cached  # type: ignore[attr-defined]
-    return cached
-
-
 def _sylow_subgroup_classes(G: Group, p: int) -> tuple[Group, list[Group]]:
     """One fixed Sylow p-subgroup P plus one representative per
     G-conjugacy class of subgroups of P.
@@ -148,7 +136,7 @@ def _sylow_subgroup_classes(G: Group, p: int) -> tuple[Group, list[Group]]:
     """
     P = sylow(G, p)
     subs = subgroups_of_p_group(P, p) if not P.is_trivial() else [P]
-    gens = _reduced_gens(G)
+    gens = G.small_generators()
     seen: set[frozenset[Perm]] = set()
     reps = []
     for Q in subs:
@@ -156,20 +144,14 @@ def _sylow_subgroup_classes(G: Group, p: int) -> tuple[Group, list[Group]]:
         if key in seen:
             continue
         reps.append(Q)
-        orbit = {key}
-        frontier = [key]
-        while frontier:
-            new = []
-            for s in frontier:
-                for g in gens:
-                    ginv = g.inv()
-                    c = frozenset(g * x * ginv for x in s)
-                    if c not in orbit:
-                        orbit.add(c)
-                        new.append(c)
-            frontier = new
-        seen |= orbit
+        seen.update(orbit(key, gens, _conjugate_all))
     return P, reps
+
+
+def _conjugate_all(g: Perm, xs):
+    """g xs g^-1 element by element, in the container type of xs."""
+    ginv = g.inv()
+    return type(xs)(g * x * ginv for x in xs)
 
 
 def _cyclic_by_p_stream(G: Group, p: int, skip_trivial_q: bool) -> Iterator[Group]:
@@ -328,16 +310,22 @@ def is_o_group_by_criterion(G: Group, p: int) -> OortVerdict:
     CQ = centralizer(G, Q)
     if not is_abelian(CQ):
         return OortVerdict(False, "CriterionOdd", "C_G(Q) nonabelian", ())
-    cqset = CQ.element_set()
-    cq_gens = CQ.generators
-    for y in normalizer(G, Q).element_list():
-        if y in cqset:
-            continue
-        if y.order() != 2 or any(y * c * y != c.inv() for c in cq_gens):
-            return OortVerdict(
-                False, "CriterionOdd", "normalizer element is not an inverting involution", ()
-            )
+    if not _inverting_outside(normalizer(G, Q), CQ):
+        return OortVerdict(
+            False, "CriterionOdd", "normalizer element is not an inverting involution", ()
+        )
     return OortVerdict(True, "CriterionOdd", "index-2 inversion", ())
+
+
+def _inverting_outside(N: Group, C: Group) -> bool:
+    """Whether every element of N outside C is an involution inverting the
+    generators of C."""
+    cset = C.element_set()
+    return all(
+        y.order() == 2 and all(y * c * y == c.inv() for c in C.generators)
+        for y in N.element_list()
+        if y not in cset
+    )
 
 
 # -- quotient identification --------------------------------------------
@@ -354,7 +342,7 @@ class _QuotientCandidate:
 
 def _quotient_table() -> list[_QuotientCandidate]:
     out = []
-    for q in range(4, 65):
+    for q in range(4, MAX_Q + 1):
         fac = factorize(q)
         if len(fac) != 1:
             continue
@@ -516,6 +504,32 @@ def odd_structure_report(G: Group, p: int) -> StructureReport:
     )
 
 
+def cyclic_sylow_report(G: Group) -> StructureReport:
+    """Structural audit for p = 2 with a cyclic Sylow 2-subgroup P: the
+    only structural content is the normal 2-complement R (G = RP) and its
+    solvability.  N_G(P)/C_G(P) is trivial, since the automorphism group
+    of a cyclic 2-group is a 2-group."""
+    P = sylow(G, 2)
+    if shape_of(P).kind != "Cyclic":
+        raise PreconditionFailed("Sylow 2-subgroup is not cyclic")
+    R = o_p_prime(G, 2)
+    violations = []
+    if R.order() * P.order() != G.order():
+        violations.append("THEOREM-VIOLATION: cyclic Sylow but |G| != |R||P|")
+    if not is_solvable(R):
+        violations.append("THEOREM-VIOLATION: odd core not solvable")
+    return StructureReport(
+        p=2,
+        group_order=G.order(),
+        r_order=R.order(),
+        p_order=P.order(),
+        ncq=1,
+        case="G=RP (cyclic Sylow)",
+        quotient=f"cyclic of order {P.order()}",
+        violations=violations,
+    )
+
+
 def _a4_embeds(G: Group, kleins: list[Group]) -> bool:
     """A4 <= G iff some Klein four subgroup of a fixed Sylow 2-subgroup is
     normalized but not centralized by an element of order 3 (sufficient by
@@ -662,64 +676,30 @@ def _check_two_cases_odd(G: Group, P: Group, p: int) -> bool:
         C = centralizer(G, Q)
         if N.order() == C.order():
             continue
-        if N.order() != 2 * C.order() or not is_abelian(C):
+        if N.order() != 2 * C.order() or not is_abelian(C) or not _inverting_outside(N, C):
             return False
-        cset = C.element_set()
-        cgens = C.generators
-        qgens = Q.generators
-        for y in N.element_list():
-            if all(y * q == q * y for q in qgens):
-                continue
-            if y.order() != 2 or any(y * c * y != c.inv() for c in cgens):
-                return False
     return True
 
 
 def _check_basic1(G: Group, P: Group, p: int) -> bool:
     NP = normalizer(G, P)
     CP = centralizer(G, P)
-    if not is_abelian(CP):
+    if not is_abelian(CP) or not _inverting_outside(NP, CP):
         return False
-    cpset = CP.element_set()
-    cpgens = CP.generators
-    for tau in NP.element_list():
-        if tau in cpset:
-            continue
-        if tau.order() != 2 or any(tau * c * tau != c.inv() for c in cpgens):
-            return False
     for Q in _nontrivial_subgroups_of_cyclic(G, P, p):
         NQ = normalizer(G, Q)
         CQ = centralizer(G, Q)
-        if CQ.element_set() != cpset or NQ.element_set() != NP.element_set():
+        if CQ.element_set() != CP.element_set() or NQ.element_set() != NP.element_set():
             return False
-        cqgens = CQ.generators
-        for y in NQ.element_list():
-            if y in cpset:
-                continue
-            if y.order() != 2 or any(y * c * y != c.inv() for c in cqgens):
-                return False
+        if not _inverting_outside(NQ, CQ):
+            return False
     # every cyclic-by-p subgroup of order divisible by p is conjugate
-    # into N_G(P)
+    # into N_G(P); the orbit is walked only up to the first such conjugate
     npset = NP.element_set()
-    gens = _reduced_gens(G) or [G.identity()]
+    gens = G.small_generators()
     for H in _cyclic_by_p_stream(G, p, skip_trivial_q=True):
-        hgens = H.generators
-        conjugates = {tuple(hgens)}
-        frontier = [tuple(hgens)]
-        placed = all(h in npset for h in hgens)
-        while frontier and not placed:
-            new = []
-            for tup in frontier:
-                for g in gens:
-                    ginv = g.inv()
-                    c = tuple(g * h * ginv for h in tup)
-                    if c not in conjugates:
-                        conjugates.add(c)
-                        new.append(c)
-                        if all(h in npset for h in c):
-                            placed = True
-            frontier = new
-        if not placed:
+        conjugates = orbit(H.generators, gens, _conjugate_all)
+        if not any(all(h in npset for h in c) for c in conjugates):
             return False
     return True
 

@@ -22,15 +22,13 @@ from importlib import resources
 from .analysis import predicates
 from .classify import (
     OortVerdict,
+    cyclic_sylow_report,
     is_o_group_by_criterion,
     is_o_group_by_definition,
     even_structure_report,
     odd_structure_report,
-    sylow,
-    shape_of,
     theorem_audit,
 )
-from .analysis import is_solvable, o_p_prime
 from .construct import build_group
 from .errors import CapExceeded, ConstructionError, OortlabError, PreconditionFailed
 from .gf import is_prime
@@ -116,26 +114,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _audit_doc(spec: str, G: Group, p: int) -> dict:
     if p == 2 and is_o_group_by_criterion(G, 2).branch == "Sylow cyclic":
-        # cyclic Sylow 2-subgroup: the only structural content is the
-        # normal 2-complement and its solvability
-        R = o_p_prime(G, 2)
-        P = sylow(G, 2)
-        violations = []
-        if R.order() * P.order() != G.order():
-            violations.append("THEOREM-VIOLATION: cyclic Sylow but |G| != |R||P|")
-        if not is_solvable(R):
-            violations.append("THEOREM-VIOLATION: odd core not solvable")
-        report = {
-            "p": 2,
-            "group_order": G.order(),
-            "r_order": R.order(),
-            "sylow_order": P.order(),
-            "case": "G=RP (cyclic Sylow)",
-            "quotient": f"cyclic of order {P.order()}",
-            "chief_factors": [],
-            "violations": violations,
-            "notes": [],
-        }
+        report = cyclic_sylow_report(G).to_json()
     elif p == 2:
         report = even_structure_report(G).to_json()
     else:
@@ -202,6 +181,9 @@ def _validate_one(task: tuple[str, int]) -> tuple[dict, bool]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         if args.manifest == "-":
             text = bundled_manifest_text()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConstructionError, TooLarge
-from .gf import Field, field, prime_power
+from .gf import MAX_Q, Field, field, prime_power
 from .perm import Group, Perm, identity, make_perm, perm_from_cycles
 
 
@@ -134,8 +134,8 @@ def _proj_line_perm(F: Field, mat: tuple[int, int, int, int]) -> Perm:
 
 def _check_q(q: int) -> Field:
     r, _ = prime_power(q)
-    if not (4 <= q <= 64):
-        raise TooLarge(f"q must satisfy 4 <= q <= 64, got {q}")
+    if not (4 <= q <= MAX_Q):
+        raise TooLarge(f"q must satisfy 4 <= q <= {MAX_Q}, got {q}")
     return field(q)
 
 

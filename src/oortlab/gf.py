@@ -1,4 +1,4 @@
-"""Small finite fields GF(q), q = r^k <= 256.
+"""Small finite fields GF(q), q = r^k <= 64.
 
 Elements are encoded as integers 0..q-1 whose base-r digits are the
 polynomial coefficients (constant digit first).  The modulus is the
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .errors import NotPrimePower, TooLarge
 
-MAX_Q = 256
+MAX_Q = 64
 
 
 def is_prime(n: int) -> bool:
@@ -213,14 +213,3 @@ class Field:
 @lru_cache(maxsize=None)
 def field(q: int) -> Field:
     return Field(q)
-
-
-def arith(F: Field, op: str, a: int, b: int | None = None) -> int:
-    """Dispatch helper: op in {add, mul, inv, neg} (plus sub/div)."""
-    if op in ("add", "mul", "sub", "div"):
-        if b is None:
-            raise ValueError(f"{op} needs two operands")
-        return getattr(F, op)(a, b)
-    if op in ("inv", "neg"):
-        return getattr(F, op)(a)
-    raise ValueError(f"unknown field op {op!r}")

@@ -1,10 +1,17 @@
 """Permutations and finitely generated permutation groups.
 
 Points are 0-based.  The composition convention is (a * b)(x) = a(b(x)):
-``a * b`` applies ``b`` first.  Groups carry a deterministic stabilizer
-chain (base points chosen as the lowest moved point) for order and
-membership, plus an optional exhaustive element store for desk-scale
-groups.
+``a * b`` applies ``b`` first.
+
+:class:`Group` owns its element store: the deterministic stabilizer chain
+(base points chosen as the lowest moved point) for order and membership,
+the exhaustive element list and set for desk-scale groups, the numpy
+image/inverse tables built from that list, and a small generating set for
+conjugation sweeps.  Each is filled on first use.  A group built from its
+element set computes its generators and chain only when they are read.
+
+:func:`mulclose` is the one closure routine and :func:`orbit` the one
+orbit routine.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import CapExceeded, DegreeMismatch, NonMember
 
@@ -21,7 +30,13 @@ DEFAULT_ENUM_CAP = 250_000
 
 def enum_cap() -> int:
     """Current element-enumeration cap (env var OORTLAB_ENUM_CAP overrides)."""
-    return int(os.environ.get("OORTLAB_ENUM_CAP", DEFAULT_ENUM_CAP))
+    raw = os.environ.get("OORTLAB_ENUM_CAP")
+    if raw is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"OORTLAB_ENUM_CAP must be an integer, got {raw!r}") from None
 
 
 class Perm(tuple):
@@ -117,42 +132,50 @@ def perm_from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
     return make_perm(img)
 
 
-def compose(a: Perm, b: Perm) -> Perm:
-    """(a o b)(x) = a(b(x))."""
-    return a * b
-
-
-def inverse(a: Perm) -> Perm:
-    return a.inv()
-
-
-def element_order(a: Perm) -> int:
-    return a.order()
-
-
-def mulclose(gens: Iterable[Perm], cap: Optional[int] = None) -> Optional[set[Perm]]:
+def mulclose(gens: Iterable[Perm], cap: Optional[int] = None) -> Optional[dict[Perm, None]]:
     """Closure of gens under composition (a subgroup, since everything is
-    finite).  Returns None if the closure grows past ``cap``."""
-    gens = [g for g in gens]
+    finite), in breadth-first order from the identity.  The result is an
+    insertion-ordered dict used as an ordered set.  Returns None if the
+    closure grows past ``cap``."""
+    gens = list(gens)
     if not gens:
-        raise ValueError("need at least one generator (or an explicit degree)")
-    els: set[Perm] = {identity(len(gens[0]))}
-    els.update(gens)
-    if cap is not None and len(els) > cap:
-        return None
-    frontier = list(els)
+        raise ValueError("need at least one generator")
+    one = identity(len(gens[0]))
+    els = {one: None}
+    frontier = [one]
     while frontier:
         new = []
         for b in frontier:
             for a in gens:
                 c = a * b
                 if c not in els:
-                    els.add(c)
+                    els[c] = None
                     new.append(c)
                     if cap is not None and len(els) > cap:
                         return None
         frontier = new
     return els
+
+
+def orbit(
+    seed: Hashable, gens: Sequence[Perm], act: Callable[[Perm, Hashable], Hashable]
+) -> Iterator[Hashable]:
+    """Yield the orbit of seed under the group generated by gens, each
+    point once, breadth-first from seed; ``act(g, x)`` is the image of x
+    under g.  Lazy, so a caller may stop at the first point it wants."""
+    seen = {seed}
+    frontier = [seed]
+    yield seed
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = act(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+                    yield y
+        frontier = new
 
 
 class _Level:
@@ -183,18 +206,8 @@ class StabilizerChain:
             n *= len(level.transversal)
         return n
 
-    def sift(self, g: Perm) -> Perm:
-        """Residue after stripping through the chain; identity iff member."""
-        for level in self.levels:
-            x = g[level.base]
-            rep = level.transversal.get(x)
-            if rep is None:
-                return g
-            g = rep.inv() * g
-        return g
-
     def contains(self, g: Perm) -> bool:
-        return self.sift(g).is_identity()
+        return self._sift_from(g, 0).is_identity()
 
     def _add(self, g: Perm, i: int) -> None:
         if g.is_identity():
@@ -232,6 +245,8 @@ class StabilizerChain:
                     self._add(residue, i + 1)
 
     def _sift_from(self, g: Perm, i: int) -> Perm:
+        """Residue after stripping through levels i, i+1, ...; identity iff
+        g lies in the stabilizer subgroup at level i."""
         for level in self.levels[i:]:
             x = g[level.base]
             rep = level.transversal.get(x)
@@ -242,10 +257,12 @@ class StabilizerChain:
 
 
 class Group:
-    """A permutation group given by generators on a fixed point set.
+    """A permutation group on a fixed point set, given by generators or by
+    its element set.
 
-    Immutable once built; the chain and element store are computed lazily
-    but depend only on the generator list, so concurrent readers agree.
+    Immutable once built.  The chain, the element store and the tables
+    derived from them are computed lazily but depend only on the
+    generator list or the element set, so concurrent readers agree.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm], *, check: bool = True):
@@ -262,14 +279,24 @@ class Group:
                 continue
             seen.add(g)
             gens.append(g)
-        self.generators: tuple[Perm, ...] = tuple(gens)
+        # None only for a group built from its element set, until read.
+        self._generators: Optional[tuple[Perm, ...]] = tuple(gens)
         self._chain: Optional[StabilizerChain] = None
-        self._order: Optional[int] = None
+        self._order: Optional[int] = None if gens else 1  # no generators: trivial
         self._element_list: Optional[list[Perm]] = None
         self._element_set: Optional[frozenset[Perm]] = None
+        self._element_arrays: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._small_generators: Optional[tuple[Perm, ...]] = None
 
     def __repr__(self) -> str:
         return f"Group(degree={self.degree}, ngens={len(self.generators)}, order={self.order()})"
+
+    @property
+    def generators(self) -> tuple[Perm, ...]:
+        if self._generators is None:
+            assert self._element_list is not None
+            self._generators = _sift_generators(self.degree, self._element_list)
+        return self._generators
 
     @property
     def chain(self) -> StabilizerChain:
@@ -286,7 +313,7 @@ class Group:
         return self._order
 
     def is_trivial(self) -> bool:
-        return not self.generators
+        return self.order() == 1
 
     def identity(self) -> Perm:
         return identity(self.degree)
@@ -299,39 +326,22 @@ class Group:
         return self.chain.contains(Perm(g))
 
     def element_list(self) -> list[Perm]:
-        """All elements in deterministic BFS order.  Raises CapExceeded when
-        the group is larger than ENUM_CAP."""
+        """All elements in deterministic order: breadth-first from the
+        identity for a group given by generators, sorted for one built from
+        its element set.  Raises CapExceeded when the group is larger than
+        ENUM_CAP."""
         if self._element_list is None:
             n = self.order()
             if n > enum_cap():
                 raise CapExceeded(f"group order {n} exceeds ENUM_CAP {enum_cap()}")
-            if not self.generators:
-                self._element_list = [self.identity()]
-            else:
-                els = {self.identity()}
-                order_list = [self.identity()]
-                frontier = [self.identity()]
-                while frontier:
-                    new = []
-                    for b in frontier:
-                        for a in self.generators:
-                            c = a * b
-                            if c not in els:
-                                els.add(c)
-                                order_list.append(c)
-                                new.append(c)
-                    frontier = new
-                if len(order_list) != n:
-                    raise AssertionError(
-                        f"enumeration found {len(order_list)} elements, chain says {n}"
-                    )
-                self._element_list = order_list
-            self._element_set = frozenset(self._element_list)
+            els = list(mulclose(self.generators or [self.identity()]))
+            if len(els) != n:
+                raise AssertionError(
+                    f"enumeration found {len(els)} elements, chain says {n}"
+                )
+            self._element_list = els
+            self._element_set = frozenset(els)
         return self._element_list
-
-    def elements(self) -> Iterator[Perm]:
-        """Lazy stream over the elements, each exactly once."""
-        return iter(self.element_list())
 
     def element_set(self) -> frozenset[Perm]:
         if self._element_set is None:
@@ -339,29 +349,36 @@ class Group:
         assert self._element_set is not None
         return self._element_set
 
+    def element_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E, Einv): row k is the image table of ``element_list()[k]`` and
+        of its inverse, for vectorized filters over the whole group."""
+        if self._element_arrays is None:
+            E = np.array(self.element_list(), dtype=np.int32)
+            self._element_arrays = (E, np.argsort(E, axis=1).astype(np.int32))
+        return self._element_arrays
+
+    def small_generators(self) -> tuple[Perm, ...]:
+        """A small generating set for conjugation sweeps (constructors often
+        hand over a dozen generators; two or three usually suffice)."""
+        if len(self.generators) <= 3:
+            return self.generators
+        if self._small_generators is None:
+            self._small_generators = _sift_generators(self.degree, sorted(self.element_set()))
+        return self._small_generators
+
     @classmethod
     def from_element_set(cls, degree: int, els: Iterable[Perm]) -> "Group":
         """Group whose elements are already known (must be closed).
 
-        A small generating set is extracted by sifting the sorted elements
-        through an incremental chain, so the result stays cheap to use.
+        Only the element set and the sorted element list are stored; the
+        generators are sifted from the sorted list when first read.
         """
-        els = frozenset(Perm(e) for e in els)
-        chain = StabilizerChain(degree, [])
-        gens: list[Perm] = []
-        target = len(els)
-        for e in sorted(els):
-            if chain.order() == target:
-                break
-            if not chain.contains(e):
-                gens.append(e)
-                chain._add(e, 0)
-        g = cls(degree, gens, check=False)
-        g._chain = chain
-        g._element_set = els
-        g._element_list = sorted(els)
-        g._order = len(els)
-        return g
+        G = cls(degree, (), check=False)
+        G._generators = None
+        G._element_set = frozenset(Perm(e) for e in els)
+        G._element_list = sorted(G._element_set)
+        G._order = len(G._element_set)
+        return G
 
     def subgroup(self, gens: Sequence[Perm]) -> "Group":
         """Subgroup generated by gens, checked for membership."""
@@ -373,16 +390,7 @@ class Group:
     def orbit(self, point: int) -> frozenset[int]:
         if not (0 <= point < self.degree):
             raise ValueError(f"point {point} out of range for degree {self.degree}")
-        orb = {point}
-        queue = deque([point])
-        while queue:
-            p = queue.popleft()
-            for g in self.generators:
-                q = g[p]
-                if q not in orb:
-                    orb.add(q)
-                    queue.append(q)
-        return frozenset(orb)
+        return frozenset(orbit(point, self.generators, lambda g, x: g[x]))
 
     def random_elements(self, k: int, seed: int = 0) -> list[Perm]:
         """Deterministic pseudo-random sample (with replacement) of elements."""
@@ -393,24 +401,20 @@ class Group:
         return [els[rng.randrange(len(els))] for _ in range(k)]
 
 
-def group_from_generators(degree: int, gens: Sequence[Perm]) -> Group:
-    return Group(degree, gens)
-
-
-def order(G: Group) -> int:
-    return G.order()
-
-
-def contains(G: Group, g: Perm) -> bool:
-    return G.contains(g)
-
-
-def subgroup_closure(G: Group, gens: Sequence[Perm]) -> Group:
-    return G.subgroup(gens)
-
-
-def orbit(G: Group, point: int) -> frozenset[int]:
-    return G.orbit(point)
+def _sift_generators(degree: int, els: Sequence[Perm]) -> tuple[Perm, ...]:
+    """A small generating set of the group whose elements are ``els``:
+    sifting them in the given order through an incremental chain, each one
+    not yet in the chain becomes a generator, until the chain reaches the
+    group order."""
+    chain = StabilizerChain(degree, [])
+    gens: list[Perm] = []
+    for e in els:
+        if chain.order() == len(els):
+            break
+        if not chain.contains(e):
+            gens.append(e)
+            chain._add(e, 0)
+    return tuple(gens)
 
 
 class QuotientMap:

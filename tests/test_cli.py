@@ -102,6 +102,13 @@ def test_check_cap_exceeded(capsys, monkeypatch):
     assert "error" in err
 
 
+def test_check_enum_cap_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", "lots")
+    code, _, err = run(capsys, "check", "S:4", "--p", "2")
+    assert code == EXIT_PARSE
+    assert "OORTLAB_ENUM_CAP" in err
+
+
 # -- audit --------------------------------------------------------------
 
 
@@ -122,6 +129,7 @@ def test_audit_cyclic_sylow_mini_report(capsys):
     doc = json.loads(out)
     assert doc["case"] == "G=RP (cyclic Sylow)"
     assert doc["r_order"] == 9 and doc["violations"] == []
+    assert doc["ncq"] == 1
 
 
 def test_audit_odd_report(capsys):
@@ -228,3 +236,12 @@ def test_validate_bad_manifest(capsys, tmp_path):
     mf.write_text("C:12 ; q=2\n")
     code, _, err = run(capsys, "validate", str(mf))
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_validate_rejects_jobs_below_one(capsys, tmp_path, jobs):
+    mf = tmp_path / "m.txt"
+    mf.write_text("C:12 ; p=2 ; expect=T\n")
+    code, out, err = run(capsys, "validate", str(mf), "--jobs", jobs)
+    assert code == EXIT_PARSE
+    assert "--jobs" in err and out == ""

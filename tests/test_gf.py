@@ -78,6 +78,8 @@ def test_bad_sizes():
         Field(6)
     with pytest.raises(TooLarge):
         Field(512)
+    with pytest.raises(TooLarge):
+        Field(128)
 
 
 def test_prime_power_and_factorize():
