@@ -28,6 +28,7 @@ from .analysis import (
     sylow,
 )
 from .classify import (
+    Context,
     OortVerdict,
     ShapeVerdict,
     StructureReport,

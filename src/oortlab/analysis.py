@@ -127,11 +127,11 @@ def o_pi(G: Group, pi: Iterable[int]) -> Group:
         nc = normal_closure(G, [x], cap=cap)
         if nc is None or any(p not in pi for p in factorize(nc.order())):
             continue
-        joined = mulclose(core_gens + list(nc.generators), cap=cap)
+        core_gens += nc.generators
+        joined = mulclose(core_gens, cap=cap)
         if joined is None:
             raise AssertionError("join of normal pi-subgroups exceeded the pi-part")
         core = joined
-        core_gens = list(Group.from_element_set(G.degree, core).generators)
     return Group.from_element_set(G.degree, core)
 
 
@@ -229,11 +229,12 @@ def subgroups_of_p_group(P: Group, p: int) -> list[Group]:
 # -- derived structure and predicates ----------------------------------
 
 
-def derived_subgroup(G: Group) -> Group:
+def _commutator(G: Group, H: Group) -> Group:
+    """[G, H] for H normal in G: the normal closure in G of the commutators
+    of generators."""
     comms = []
-    gens = G.generators
-    for a in gens:
-        for b in gens:
+    for a in G.generators:
+        for b in H.generators:
             c = a * b * a.inv() * b.inv()
             if not c.is_identity():
                 comms.append(c)
@@ -242,21 +243,30 @@ def derived_subgroup(G: Group) -> Group:
     return nc
 
 
+def derived_subgroup(G: Group) -> Group:
+    return _commutator(G, G)
+
+
 def is_abelian(G: Group) -> bool:
     gens = G.generators
     return all(a * b == b * a for a in gens for b in gens)
 
 
-def derived_series(G: Group) -> list[Group]:
+def _descending_series(G: Group, step) -> list[Group]:
+    """G, step(G), step(step(G)), ... until a term is trivial or repeats."""
     series = [G]
     while True:
-        d = derived_subgroup(series[-1])
-        if d.order() == series[-1].order():
+        nxt = step(series[-1])
+        if nxt.order() == series[-1].order():
             break
-        series.append(d)
-        if d.is_trivial():
+        series.append(nxt)
+        if nxt.is_trivial():
             break
     return series
+
+
+def derived_series(G: Group) -> list[Group]:
+    return _descending_series(G, derived_subgroup)
 
 
 def is_solvable(G: Group) -> bool:
@@ -268,23 +278,7 @@ def is_perfect(G: Group) -> bool:
 
 
 def lower_central_series(G: Group) -> list[Group]:
-    series = [G]
-    while True:
-        prev = series[-1]
-        comms = []
-        for a in G.generators:
-            for b in prev.generators:
-                c = a * b * a.inv() * b.inv()
-                if not c.is_identity():
-                    comms.append(c)
-        nxt = normal_closure(G, comms)
-        assert nxt is not None
-        if nxt.order() == prev.order():
-            break
-        series.append(nxt)
-        if nxt.is_trivial():
-            break
-    return series
+    return _descending_series(G, lambda H: _commutator(G, H))
 
 
 def is_nilpotent(G: Group) -> bool:

@@ -7,12 +7,17 @@ or A4 (the last only for p = 2).  The definitional route enumerates those
 subgroups outright; the criterion route decides from the Sylow p-subgroup
 and a handful of normalizer/centralizer conditions.  The two routes are
 independent implementations and the batch harness cross-checks them.
+
+The criterion, the structure reports and the claim audit share one
+:class:`Context` per (G, p), holding P, N_G(P), C_G(P), the p'-core and
+the criterion verdict.  The definition route never takes a context.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .analysis import (
@@ -252,13 +257,6 @@ def is_o_group_by_definition(G: Group, p: int) -> OortVerdict:
     )
 
 
-def _omega1_of_cyclic(G: Group, P: Group, p: int) -> Group:
-    """The order-p subgroup of a cyclic p-group P, as a subgroup of G."""
-    n = P.order()
-    x = next(y for y in P.element_list() if y.order() == n)
-    return G.subgroup([x ** (n // p)])
-
-
 def _klein_subgroups(P: Group) -> list[Group]:
     """All elementary abelian subgroups of order 4 in P."""
     if P.order() % 4:
@@ -277,44 +275,77 @@ def _klein_subgroups(P: Group) -> list[Group]:
     return out
 
 
+class Context:
+    """The criterion-side quantities of one (G, p), each computed on first
+    use: a Sylow p-subgroup P, its normalizer N and centralizer C in G,
+    the p'-core R, ncq = |N/C|, and the criterion verdict."""
+
+    def __init__(self, G: Group, p: int):
+        self.G = G
+        self.p = p
+
+    @cached_property
+    def P(self) -> Group:
+        return sylow(self.G, self.p)
+
+    @cached_property
+    def N(self) -> Group:
+        return normalizer(self.G, self.P)
+
+    @cached_property
+    def C(self) -> Group:
+        return centralizer(self.G, self.P)
+
+    @cached_property
+    def R(self) -> Group:
+        return o_p_prime(self.G, self.p)
+
+    @cached_property
+    def ncq(self) -> int:
+        return self.N.order() // self.C.order()
+
+    @cached_property
+    def verdict(self) -> OortVerdict:
+        """Closed-form decision from the Sylow p-subgroup.
+
+        p = 2: Sylow cyclic, or Sylow dihedral (Klein four included) with
+        every Klein four subgroup of it self-centralizing in G.
+
+        odd p: Sylow P cyclic, and either N_G(P) = C_G(P), or for the
+        order-p subgroup Q of P the centralizer C_G(Q) is abelian and every
+        element of N_G(Q) outside C_G(Q) is an involution inverting C_G(Q).
+        """
+        G, p, P = self.G, self.p, self.P
+        if p == 2:
+            sh = shape_of(P)
+            if sh.kind == "Cyclic":
+                return OortVerdict(True, "CriterionTwo", "Sylow cyclic", ())
+            if sh.kind != "Dihedral":
+                return OortVerdict(False, "CriterionTwo", "Sylow neither cyclic nor dihedral", ())
+            for K in _klein_subgroups(P):
+                if centralizer(G, K).order() != 4:
+                    return OortVerdict(False, "CriterionTwo", "Klein four not self-centralizing", ())
+            return OortVerdict(True, "CriterionTwo", "Sylow dihedral self-centralizing Kleins", ())
+        if P.is_trivial():
+            return OortVerdict(True, "CriterionOdd", "N=C", ())
+        if shape_of(P).kind != "Cyclic":
+            return OortVerdict(False, "CriterionOdd", "Sylow noncyclic", ())
+        if self.ncq == 1:
+            return OortVerdict(True, "CriterionOdd", "N=C", ())
+        Q = _nontrivial_subgroups_of_cyclic(G, P, p)[-1]
+        CQ = centralizer(G, Q)
+        if not is_abelian(CQ):
+            return OortVerdict(False, "CriterionOdd", "C_G(Q) nonabelian", ())
+        if not _inverting_outside(normalizer(G, Q), CQ):
+            return OortVerdict(
+                False, "CriterionOdd", "normalizer element is not an inverting involution", ()
+            )
+        return OortVerdict(True, "CriterionOdd", "index-2 inversion", ())
+
+
 def is_o_group_by_criterion(G: Group, p: int) -> OortVerdict:
-    """Closed-form decision from the Sylow p-subgroup.
-
-    p = 2: Sylow cyclic, or Sylow dihedral (Klein four included) with
-    every Klein four subgroup of it self-centralizing in G.
-
-    odd p: Sylow P cyclic, and either N_G(P) = C_G(P), or for the order-p
-    subgroup Q of P the centralizer C_G(Q) is abelian and every element
-    of N_G(Q) outside C_G(Q) is an involution inverting C_G(Q).
-    """
-    P = sylow(G, p)
-    if p == 2:
-        sh = shape_of(P)
-        if sh.kind == "Cyclic":
-            return OortVerdict(True, "CriterionTwo", "Sylow cyclic", ())
-        if sh.kind != "Dihedral":
-            return OortVerdict(False, "CriterionTwo", "Sylow neither cyclic nor dihedral", ())
-        for K in _klein_subgroups(P):
-            if centralizer(G, K).order() != 4:
-                return OortVerdict(False, "CriterionTwo", "Klein four not self-centralizing", ())
-        return OortVerdict(True, "CriterionTwo", "Sylow dihedral self-centralizing Kleins", ())
-    if P.is_trivial():
-        return OortVerdict(True, "CriterionOdd", "N=C", ())
-    if shape_of(P).kind != "Cyclic":
-        return OortVerdict(False, "CriterionOdd", "Sylow noncyclic", ())
-    N = normalizer(G, P)
-    C = centralizer(G, P)
-    if N.order() == C.order():
-        return OortVerdict(True, "CriterionOdd", "N=C", ())
-    Q = _omega1_of_cyclic(G, P, p)
-    CQ = centralizer(G, Q)
-    if not is_abelian(CQ):
-        return OortVerdict(False, "CriterionOdd", "C_G(Q) nonabelian", ())
-    if not _inverting_outside(normalizer(G, Q), CQ):
-        return OortVerdict(
-            False, "CriterionOdd", "normalizer element is not an inverting involution", ()
-        )
-    return OortVerdict(True, "CriterionOdd", "index-2 inversion", ())
+    """The criterion verdict for (G, p); see :attr:`Context.verdict`."""
+    return Context(G, p).verdict
 
 
 def _inverting_outside(N: Group, C: Group) -> bool:
@@ -428,6 +459,12 @@ class StructureReport:
         }
 
 
+def _report(ctx: Context, case: str, quotient: str, **lists: list) -> StructureReport:
+    return StructureReport(
+        ctx.p, ctx.G.order(), ctx.R.order(), ctx.P.order(), ctx.ncq, case, quotient, **lists
+    )
+
+
 def _nontrivial_subgroups_of_cyclic(G: Group, P: Group, p: int) -> list[Group]:
     n = P.order()
     if n == 1:
@@ -441,25 +478,21 @@ def _nontrivial_subgroups_of_cyclic(G: Group, P: Group, p: int) -> list[Group]:
     return out
 
 
-def odd_structure_report(G: Group, p: int) -> StructureReport:
+def odd_structure_report(ctx: Context) -> StructureReport:
     """Structural audit for an odd-p positive: consistency of the
     semidirect / N=C / per-subgroup-N=C equivalence, solvability of the
     p'-core when |N/C| = 2, and identification of G/R."""
+    G, p = ctx.G, ctx.p
     if p == 2 or not is_prime(p):
         raise PreconditionFailed(f"odd prime required, got {p}")
-    verdict = is_o_group_by_criterion(G, p)
-    if not verdict.is_o_group:
+    if not ctx.verdict.is_o_group:
         raise PreconditionFailed("group fails the odd-p criterion")
-    P = sylow(G, p)
-    R = o_p_prime(G, p)
-    N = normalizer(G, P)
-    C = centralizer(G, P)
-    ncq = N.order() // C.order()
+    P, R, ncq = ctx.P, ctx.R, ctx.ncq
     violations: list[str] = []
     notes: list[str] = []
 
     c_semi = R.order() * P.order() == G.order()
-    c_sylow = N.order() == C.order()
+    c_sylow = ncq == 1
     c_all = all(
         normalizer(G, Q).order() == centralizer(G, Q).order()
         for Q in _nontrivial_subgroups_of_cyclic(G, P, p)
@@ -491,42 +524,24 @@ def odd_structure_report(G: Group, p: int) -> StructureReport:
             quotient = ident.label
             if ident.tag == "unidentified":
                 notes.append("quotient matched neither a dihedral group nor the simple-type table")
-    return StructureReport(
-        p=p,
-        group_order=G.order(),
-        r_order=R.order(),
-        p_order=P.order(),
-        ncq=ncq,
-        case=case,
-        quotient=quotient,
-        violations=violations,
-        notes=notes,
-    )
+    return _report(ctx, case, quotient, violations=violations, notes=notes)
 
 
-def cyclic_sylow_report(G: Group) -> StructureReport:
+def cyclic_sylow_report(ctx: Context) -> StructureReport:
     """Structural audit for p = 2 with a cyclic Sylow 2-subgroup P: the
     only structural content is the normal 2-complement R (G = RP) and its
     solvability.  N_G(P)/C_G(P) is trivial, since the automorphism group
     of a cyclic 2-group is a 2-group."""
-    P = sylow(G, 2)
-    if shape_of(P).kind != "Cyclic":
+    if ctx.verdict.branch != "Sylow cyclic":
         raise PreconditionFailed("Sylow 2-subgroup is not cyclic")
-    R = o_p_prime(G, 2)
+    P, R = ctx.P, ctx.R
     violations = []
-    if R.order() * P.order() != G.order():
+    if R.order() * P.order() != ctx.G.order():
         violations.append("THEOREM-VIOLATION: cyclic Sylow but |G| != |R||P|")
     if not is_solvable(R):
         violations.append("THEOREM-VIOLATION: odd core not solvable")
-    return StructureReport(
-        p=2,
-        group_order=G.order(),
-        r_order=R.order(),
-        p_order=P.order(),
-        ncq=1,
-        case="G=RP (cyclic Sylow)",
-        quotient=f"cyclic of order {P.order()}",
-        violations=violations,
+    return _report(
+        ctx, "G=RP (cyclic Sylow)", f"cyclic of order {P.order()}", violations=violations
     )
 
 
@@ -542,18 +557,13 @@ def _a4_embeds(G: Group, kleins: list[Group]) -> bool:
     return False
 
 
-def even_structure_report(G: Group) -> StructureReport:
+def even_structure_report(ctx: Context) -> StructureReport:
     """Structural audit for a p=2 positive with dihedral Sylow: nilpotent
     commutator of the odd core, fixed-point-freeness of Klein fours, case
     classification, and the chief-factor module checks."""
-    verdict = is_o_group_by_criterion(G, 2)
-    if not verdict.is_o_group or verdict.branch != "Sylow dihedral self-centralizing Kleins":
+    if ctx.verdict.branch != "Sylow dihedral self-centralizing Kleins":
         raise PreconditionFailed("group does not pass the p=2 criterion with dihedral Sylow")
-    P = sylow(G, 2)
-    R = o_p_prime(G, 2)
-    N = normalizer(G, P)
-    C = centralizer(G, P)
-    ncq = N.order() // C.order()
+    G, P, R = ctx.G, ctx.P, ctx.R
     violations: list[str] = []
     notes: list[str] = []
 
@@ -651,24 +661,14 @@ def even_structure_report(G: Group) -> StructureReport:
                 )
         chief.append(entry)
 
-    return StructureReport(
-        p=2,
-        group_order=G.order(),
-        r_order=R.order(),
-        p_order=P.order(),
-        ncq=ncq,
-        case=case,
-        quotient=quotient,
-        chief_factors=chief,
-        violations=violations,
-        notes=notes,
-    )
+    return _report(ctx, case, quotient, chief_factors=chief, violations=violations, notes=notes)
 
 
 # -- literal per-claim audit --------------------------------------------
 
 
-def _check_two_cases_odd(G: Group, P: Group, p: int) -> bool:
+def _check_two_cases_odd(ctx: Context) -> bool:
+    G, P, p = ctx.G, ctx.P, ctx.p
     if shape_of(P).kind != "Cyclic" and not P.is_trivial():
         return False
     for Q in _nontrivial_subgroups_of_cyclic(G, P, p):
@@ -681,9 +681,8 @@ def _check_two_cases_odd(G: Group, P: Group, p: int) -> bool:
     return True
 
 
-def _check_basic1(G: Group, P: Group, p: int) -> bool:
-    NP = normalizer(G, P)
-    CP = centralizer(G, P)
+def _check_basic1(ctx: Context) -> bool:
+    G, P, p, NP, CP = ctx.G, ctx.P, ctx.p, ctx.N, ctx.C
     if not is_abelian(CP) or not _inverting_outside(NP, CP):
         return False
     for Q in _nontrivial_subgroups_of_cyclic(G, P, p):
@@ -709,6 +708,10 @@ def _check_nontrivial_center_2(G: Group, P: Group, R: Group, Z: Group) -> bool:
         return False
     if Z.order() == 4:
         return G.order() == 4 and shape_of(G) == ShapeVerdict("Dihedral", 4)
+    if R.is_trivial():
+        # then G = P and C_P(R) = P cannot have index 2: the claim is that
+        # G itself is dihedral
+        return shape_of(G).kind == "Dihedral"
     if not is_abelian(R) or R.order() * P.order() != G.order():
         return False
     rgens = R.generators
@@ -726,8 +729,8 @@ def _check_nontrivial_center_2(G: Group, P: Group, R: Group, Z: Group) -> bool:
     )
 
 
-def theorem_audit(G: Group, p: int) -> list[tuple[str, str]]:
-    """Evaluate each structural claim literally on (G, p); claims whose
+def theorem_audit(ctx: Context) -> list[tuple[str, str]]:
+    """Evaluate each structural claim literally on ctx's (G, p); claims whose
     hypotheses are unmet report not-applicable rather than being skipped.
 
     Claims: normalizer dichotomy for subgroups of a cyclic Sylow
@@ -737,10 +740,8 @@ def theorem_audit(G: Group, p: int) -> list[tuple[str, str]]:
     nontrivial-center and trivial-center restrictions.
     """
     results: list[tuple[str, str]] = []
-    verdict = is_o_group_by_criterion(G, p)
-    positive = verdict.is_o_group
-    P = sylow(G, p)
-    R = o_p_prime(G, p)
+    G, p, P = ctx.G, ctx.p, ctx.P
+    positive = ctx.verdict.is_o_group
 
     def add(name: str, applicable: bool, check) -> None:
         if not applicable:
@@ -749,19 +750,17 @@ def theorem_audit(G: Group, p: int) -> list[tuple[str, str]]:
             results.append((name, "pass" if check() else "fail"))
 
     if p != 2:
-        N = normalizer(G, P)
-        C = centralizer(G, P)
-        n_ne_c = N.order() != C.order()
-        add("two-cases-odd", positive, lambda: _check_two_cases_odd(G, P, p))
-        add("basic1", positive and n_ne_c, lambda: _check_basic1(G, P, p))
+        n_ne_c = ctx.ncq != 1
+        add("two-cases-odd", positive, lambda: _check_two_cases_odd(ctx))
+        add("basic1", positive and n_ne_c, lambda: _check_basic1(ctx))
         add(
             "for-odd-odd",
             G.order() % 2 == 1,
             lambda: positive
-            == (shape_of(P).kind == "Cyclic" and N.order() == C.order())
-            == (shape_of(P).kind == "Cyclic" and R.order() * P.order() == G.order()),
+            == (shape_of(P).kind == "Cyclic" and ctx.ncq == 1)
+            == (shape_of(P).kind == "Cyclic" and ctx.R.order() * P.order() == G.order()),
         )
-        add("solvable-core", positive and n_ne_c, lambda: is_solvable(R))
+        add("solvable-core", positive and n_ne_c, lambda: is_solvable(ctx.R))
         results.append(("nontrivial-center-2", "not-applicable"))
         results.append(("restrictions-trivial-center-1", "not-applicable"))
     else:
@@ -774,11 +773,11 @@ def theorem_audit(G: Group, p: int) -> list[tuple[str, str]]:
         add(
             "nontrivial-center-2",
             positive and noncyclic and not Z.is_trivial(),
-            lambda: _check_nontrivial_center_2(G, P, R, Z),
+            lambda: _check_nontrivial_center_2(G, P, ctx.R, Z),
         )
         add(
             "restrictions-trivial-center-1",
             positive and noncyclic and Z.is_trivial(),
-            lambda: is_nilpotent(derived_subgroup(R)),
+            lambda: is_nilpotent(derived_subgroup(ctx.R)),
         )
     return results

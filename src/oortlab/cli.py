@@ -21,6 +21,7 @@ from importlib import resources
 
 from .analysis import predicates
 from .classify import (
+    Context,
     OortVerdict,
     cyclic_sylow_report,
     is_o_group_by_criterion,
@@ -113,14 +114,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _audit_doc(spec: str, G: Group, p: int) -> dict:
-    if p == 2 and is_o_group_by_criterion(G, 2).branch == "Sylow cyclic":
-        report = cyclic_sylow_report(G).to_json()
+    ctx = Context(G, p)
+    if ctx.verdict.branch == "Sylow cyclic":
+        report = cyclic_sylow_report(ctx).to_json()
     elif p == 2:
-        report = even_structure_report(G).to_json()
+        report = even_structure_report(ctx).to_json()
     else:
-        report = odd_structure_report(G, p).to_json()
+        report = odd_structure_report(ctx).to_json()
     report["spec"] = spec
-    report["claims"] = [{"claim": c, "status": s} for c, s in theorem_audit(G, p)]
+    report["claims"] = [{"claim": c, "status": s} for c, s in theorem_audit(ctx)]
     return report
 
 

@@ -23,6 +23,7 @@ from oortlab.analysis import (
     sylow,
 )
 from oortlab.classify import (
+    Context,
     even_structure_report,
     is_o_group_by_criterion,
     is_o_group_by_definition,
@@ -159,13 +160,14 @@ def test_criterion_4_structure_audits(capsys, catalogue, groups):
     for spec, primes, _ in catalogue:
         G = groups[spec]
         for p in primes:
-            v = is_o_group_by_criterion(G, p)
+            ctx = Context(G, p)
+            v = ctx.verdict
             if not v.is_o_group:
                 continue
             if p == 2:
                 if v.branch != "Sylow dihedral self-centralizing Kleins":
                     continue
-                rep = even_structure_report(G)
+                rep = even_structure_report(ctx)
                 audited += 1
                 if rep.has_violation():
                     bad.append((spec, 2, rep.violations))
@@ -178,7 +180,7 @@ def test_criterion_4_structure_audits(capsys, catalogue, groups):
                     ):
                         bad.append((spec, 2, "order-4 trace"))
             else:
-                rep = odd_structure_report(G, p)
+                rep = odd_structure_report(ctx)
                 audited += 1
                 if rep.has_violation():
                     bad.append((spec, p, rep.violations))

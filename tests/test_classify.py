@@ -2,11 +2,13 @@
 
 import pytest
 
-from oortlab.analysis import centralizer, normalizer, o_p_prime, sylow
+from oortlab.analysis import center, centralizer, normalizer, o_p_prime, sylow
 from oortlab.classify import (
+    Context,
     OortVerdict,
     ShapeVerdict,
     Witness,
+    _check_nontrivial_center_2,
     _identify_quotient,
     allowed_shape,
     cyclic_by_p_subgroups,
@@ -222,24 +224,24 @@ def test_identify_quotient():
 
 
 def test_odd_report_semidirect_case():
-    rep = odd_structure_report(build_group("C:15"), 3)
+    rep = odd_structure_report(Context(build_group("C:15"), 3))
     assert rep.case == "G=RP" and rep.ncq == 1
     assert not rep.has_violation()
 
 
 def test_odd_report_dihedral_case():
-    rep = odd_structure_report(build_group("D:18"), 3)
+    rep = odd_structure_report(Context(build_group("D:18"), 3))
     assert rep.case == "G=RD" and rep.ncq == 2
     assert rep.r_order == 1 and rep.p_order == 9
     assert not rep.has_violation()
-    rep2 = odd_structure_report(build_group("S:4"), 3)
+    rep2 = odd_structure_report(Context(build_group("S:4"), 3))
     assert rep2.case == "G=RD"
     assert rep2.quotient == "dihedral of order 6"
     assert not rep2.has_violation()
 
 
 def test_odd_report_almost_simple_case():
-    rep = odd_structure_report(build_group("PSL2:7"), 3)
+    rep = odd_structure_report(Context(build_group("PSL2:7"), 3))
     assert rep.case == "G/R almost simple"
     assert rep.quotient == "isomorphic-to PSL(2,7)"
     assert not rep.has_violation()
@@ -247,22 +249,22 @@ def test_odd_report_almost_simple_case():
 
 def test_odd_report_preconditions():
     with pytest.raises(PreconditionFailed):
-        odd_structure_report(build_group("A:6"), 3)
+        odd_structure_report(Context(build_group("A:6"), 3))
     with pytest.raises(PreconditionFailed):
-        odd_structure_report(build_group("C:6"), 2)
+        odd_structure_report(Context(build_group("C:6"), 2))
     with pytest.raises(PreconditionFailed):
-        odd_structure_report(build_group("C:6"), 9)
+        odd_structure_report(Context(build_group("C:6"), 9))
 
 
 def test_even_report_case1():
-    rep = even_structure_report(build_group("INV:3:8:cyclic"))
+    rep = even_structure_report(Context(build_group("INV:3:8:cyclic"), 2))
     assert rep.case == "1:G=RP"
     assert rep.r_order == 3 and rep.p_order == 8
     assert not rep.has_violation()
 
 
 def test_even_report_case2a():
-    rep = even_structure_report(build_group("DELPERM:5:A4"))
+    rep = even_structure_report(Context(build_group("DELPERM:5:A4"), 2))
     assert rep.case == "2a:G=R.A4"
     assert rep.r_order == 125
     assert len(rep.chief_factors) == 1
@@ -273,14 +275,14 @@ def test_even_report_case2a():
 
 
 def test_even_report_case2b_traces():
-    rep = even_structure_report(build_group("DELPERM:5:S4:sign"))
+    rep = even_structure_report(Context(build_group("DELPERM:5:S4:sign"), 2))
     assert rep.case == "2b:G=R.S4"
     assert rep.chief_factors[0]["order4_traces"] == [1]
     assert not rep.has_violation()
 
 
 def test_even_report_case2c():
-    rep = even_structure_report(build_group("A:5"))
+    rep = even_structure_report(Context(build_group("A:5"), 2))
     assert rep.case == "2c:nonsolvable"
     assert rep.quotient == "consistent-with PSL(2,5)"
     assert not rep.has_violation()
@@ -288,16 +290,16 @@ def test_even_report_case2c():
 
 def test_even_report_preconditions():
     with pytest.raises(PreconditionFailed):
-        even_structure_report(build_group("Q:8"))
+        even_structure_report(Context(build_group("Q:8"), 2))
     with pytest.raises(PreconditionFailed):
-        even_structure_report(build_group("C:8"))  # cyclic Sylow branch
+        even_structure_report(Context(build_group("C:8"), 2))  # cyclic Sylow branch
 
 
 # -- per-claim audit ----------------------------------------------------
 
 
 def audit_map(spec, p):
-    return dict(theorem_audit(build_group(spec), p))
+    return dict(theorem_audit(Context(build_group(spec), p)))
 
 
 def test_audit_d18():
@@ -324,6 +326,16 @@ def test_audit_p2_centers():
     assert m2["restrictions-trivial-center-1"] == "pass"
     assert m2["nontrivial-center-2"] == "not-applicable"
     assert m2["two-cases-odd"] == "not-applicable"
+    # trivial odd core: G is its own Sylow 2-subgroup
+    for spec in ("D:8", "D:16"):
+        assert audit_map(spec, 2)["nontrivial-center-2"] == "pass", spec
+
+
+def test_nontrivial_center_2_trivial_core_needs_dihedral():
+    # Q8 has a centre of order 2 and a trivial odd core but is not dihedral
+    G = build_group("Q:8")
+    assert o_p_prime(G, 2).is_trivial() and center(G).order() == 2
+    assert not _check_nontrivial_center_2(G, sylow(G, 2), o_p_prime(G, 2), center(G))
 
 
 def test_audit_negative_group_all_na_or_honest():

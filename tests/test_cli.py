@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import oortlab.classify as classify
 import oortlab.cli as cli
 from oortlab.classify import OortVerdict
 from oortlab.cli import (
@@ -17,6 +18,7 @@ from oortlab.cli import (
     main,
     parse_manifest,
 )
+from oortlab.construct import build_group
 
 
 def run(capsys, *argv):
@@ -147,10 +149,38 @@ def test_audit_precondition_failure(capsys):
 
 def test_audit_violation_exit(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "theorem_audit", lambda G, p: [("two-cases-odd", "fail")]
+        cli, "theorem_audit", lambda ctx: [("two-cases-odd", "fail")]
     )
     code, out, _ = run(capsys, "audit", "C:15", "--p", "3")
     assert code == EXIT_VIOLATION
+
+
+@pytest.mark.parametrize(
+    "spec,p,sylows",
+    [
+        ("S:4", 3, 2),  # odd, basic1 applies: its stream takes its own Sylow
+        ("A:5", 2, 1),  # even
+        ("D:18", 2, 1),  # cyclic Sylow
+    ],
+)
+def test_audit_computes_core_and_sylow_once(capsys, monkeypatch, spec, p, sylows):
+    """The report and the claim audit of one request share one context."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(G, q):
+            calls.append((name, G.order(), q))
+            return fn(G, q)
+
+        return wrapper
+
+    for name in ("o_p_prime", "sylow"):
+        monkeypatch.setattr(classify, name, counting(name, getattr(classify, name)))
+    code, _, _ = run(capsys, "audit", spec, "--p", str(p))
+    assert code == EXIT_OK
+    order = build_group(spec).order()
+    assert calls.count(("o_p_prime", order, p)) == 1
+    assert calls.count(("sylow", order, p)) == sylows
 
 
 # -- manifest parsing ---------------------------------------------------

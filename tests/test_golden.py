@@ -1,10 +1,13 @@
-"""Exact CLI output for witness-producing negatives and for one audit
-report of each kind (cyclic Sylow, odd, even).
+"""Exact CLI output for witness-producing negatives and for an audit
+report of every case (cyclic Sylow; odd G=RP, G=RD and G/R almost
+simple; even 1, 2a, 2b and 2c).
 
-The expected documents in data/golden_outputs.json were recorded before
-the element store moved into ``perm.Group``; they pin verdicts, branches,
-witness generator strings and report fields.  ``timing_ms`` varies from
-run to run and is left out.
+The expected documents in data/golden_outputs.json pin verdicts,
+branches, witness generator strings and report fields.  The first nine
+were recorded before the element store moved into ``perm.Group``, the
+audits of C:15/3, A:5/5, A:4/2, S:4/2 and D:12/2 before the criterion,
+the reports and the claim audit shared one ``classify.Context``.
+``timing_ms`` varies from run to run and is left out.
 """
 
 import json
