@@ -28,20 +28,13 @@ def _rows_in_set(rows: np.ndarray, els: frozenset) -> np.ndarray:
     return np.fromiter((tuple(r) in els for r in rows.tolist()), dtype=bool, count=len(rows))
 
 
-def _as_perms(S) -> list[Perm]:
-    if isinstance(S, Group):
-        return list(S.generators) or [identity(S.degree)]
-    return [Perm(s) for s in S]
-
-
-def centralizer(G: Group, S) -> Group:
-    """C_G(S) for S a Group or an iterable of elements of G."""
-    perms = _as_perms(S)
+def centralizer(G: Group, H: Group) -> Group:
+    """C_G(H)."""
     E, _ = G.element_arrays()
     mask = np.ones(len(E), dtype=bool)
-    for s in perms:
-        s_arr = np.asarray(s, dtype=np.int32)
-        mask &= (E[:, s_arr] == s_arr[E]).all(axis=1)
+    for h in H.generators:
+        h_arr = np.asarray(h, dtype=np.int32)
+        mask &= (E[:, h_arr] == h_arr[E]).all(axis=1)
     els = [e for e, m in zip(G.element_list(), mask) if m]
     return Group.from_element_set(G.degree, els)
 

@@ -9,8 +9,11 @@ and a handful of normalizer/centralizer conditions.  The two routes are
 independent implementations and the batch harness cross-checks them.
 
 The criterion, the structure reports and the claim audit share one
-:class:`Context` per (G, p), holding P, N_G(P), C_G(P), the p'-core and
-the criterion verdict.  The definition route never takes a context.
+:class:`Context` per (G, p), holding P, the p'-core, the criterion
+verdict, the p-local subgroups they all read (the cyclic chain under a
+cyclic P and the Klein fours of P) and one memo of the normalizer and
+centralizer of each such subgroup, P included.  The definition route
+never takes a context.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .analysis import (
 )
 from .errors import PreconditionFailed
 from .gf import MAX_Q, factorize, is_prime
-from .perm import Group, Perm, orbit, quotient_by
+from .perm import Group, Perm, mulclose, orbit, quotient_by
 
 
 # -- shapes -------------------------------------------------------------
@@ -257,44 +260,65 @@ def is_o_group_by_definition(G: Group, p: int) -> OortVerdict:
     )
 
 
-def _klein_subgroups(P: Group) -> list[Group]:
-    """All elementary abelian subgroups of order 4 in P."""
-    if P.order() % 4:
-        return []
-    invs = [x for x in P.element_list() if x.order() == 2]
-    seen: set[frozenset[Perm]] = set()
-    out = []
-    for i, x in enumerate(invs):
-        for y in invs[i + 1 :]:
-            if x * y != y * x:
-                continue
-            k = frozenset([P.identity(), x, y, x * y])
-            if k not in seen:
-                seen.add(k)
-                out.append(Group.from_element_set(P.degree, k))
-    return out
-
-
 class Context:
     """The criterion-side quantities of one (G, p), each computed on first
     use: a Sylow p-subgroup P, its normalizer N and centralizer C in G,
-    the p'-core R, ncq = |N/C|, and the criterion verdict."""
+    the p'-core R, ncq = |N/C|, the nontrivial subgroups of a cyclic P
+    (:attr:`chain`), the Klein fours of P (:attr:`kleins`), and the
+    criterion verdict.  :meth:`local` computes the normalizer or the
+    centralizer of each subgroup once."""
 
     def __init__(self, G: Group, p: int):
         self.G = G
         self.p = p
+        self._local: dict[tuple, Group] = {}
+
+    def local(self, f, H: Group) -> Group:
+        """f(G, H) for f in {normalizer, centralizer}, memoized by f and
+        the element set of H."""
+        key = (f, H.element_set())
+        if key not in self._local:
+            self._local[key] = f(self.G, H)
+        return self._local[key]
 
     @cached_property
     def P(self) -> Group:
         return sylow(self.G, self.p)
 
-    @cached_property
+    @property
     def N(self) -> Group:
-        return normalizer(self.G, self.P)
+        return self.local(normalizer, self.P)
+
+    @property
+    def C(self) -> Group:
+        return self.local(centralizer, self.P)
 
     @cached_property
-    def C(self) -> Group:
-        return centralizer(self.G, self.P)
+    def chain(self) -> list[Group]:
+        """The nontrivial subgroups of a cyclic P, from P down to order p."""
+        n = self.P.order()
+        if n == 1:
+            return []
+        x = next(y for y in self.P.element_list() if y.order() == n)
+        out, k = [self.P], n // self.p
+        while k > 1:
+            out.append(Group.from_element_set(self.G.degree, mulclose([x ** (n // k)])))
+            k //= self.p
+        return out
+
+    @cached_property
+    def kleins(self) -> list[Group]:
+        """All elementary abelian subgroups of order 4 in P."""
+        P = self.P
+        if P.order() % 4:
+            return []
+        invs = [x for x in P.element_list() if x.order() == 2]
+        found: dict[frozenset[Perm], None] = {}
+        for i, x in enumerate(invs):
+            for y in invs[i + 1 :]:
+                if x * y == y * x:
+                    found.setdefault(frozenset([P.identity(), x, y, x * y]))
+        return [Group.from_element_set(P.degree, k) for k in found]
 
     @cached_property
     def R(self) -> Group:
@@ -315,15 +339,15 @@ class Context:
         order-p subgroup Q of P the centralizer C_G(Q) is abelian and every
         element of N_G(Q) outside C_G(Q) is an involution inverting C_G(Q).
         """
-        G, p, P = self.G, self.p, self.P
+        p, P = self.p, self.P
         if p == 2:
             sh = shape_of(P)
             if sh.kind == "Cyclic":
                 return OortVerdict(True, "CriterionTwo", "Sylow cyclic", ())
             if sh.kind != "Dihedral":
                 return OortVerdict(False, "CriterionTwo", "Sylow neither cyclic nor dihedral", ())
-            for K in _klein_subgroups(P):
-                if centralizer(G, K).order() != 4:
+            for K in self.kleins:
+                if self.local(centralizer, K).order() != 4:
                     return OortVerdict(False, "CriterionTwo", "Klein four not self-centralizing", ())
             return OortVerdict(True, "CriterionTwo", "Sylow dihedral self-centralizing Kleins", ())
         if P.is_trivial():
@@ -332,11 +356,11 @@ class Context:
             return OortVerdict(False, "CriterionOdd", "Sylow noncyclic", ())
         if self.ncq == 1:
             return OortVerdict(True, "CriterionOdd", "N=C", ())
-        Q = _nontrivial_subgroups_of_cyclic(G, P, p)[-1]
-        CQ = centralizer(G, Q)
+        Q = self.chain[-1]
+        CQ = self.local(centralizer, Q)
         if not is_abelian(CQ):
             return OortVerdict(False, "CriterionOdd", "C_G(Q) nonabelian", ())
-        if not _inverting_outside(normalizer(G, Q), CQ):
+        if not _inverting_outside(self.local(normalizer, Q), CQ):
             return OortVerdict(
                 False, "CriterionOdd", "normalizer element is not an inverting involution", ()
             )
@@ -465,19 +489,6 @@ def _report(ctx: Context, case: str, quotient: str, **lists: list) -> StructureR
     )
 
 
-def _nontrivial_subgroups_of_cyclic(G: Group, P: Group, p: int) -> list[Group]:
-    n = P.order()
-    if n == 1:
-        return []
-    x = next(y for y in P.element_list() if y.order() == n)
-    out = []
-    k = n
-    while k > 1:
-        out.append(G.subgroup([x ** (n // k)]))
-        k //= p
-    return out
-
-
 def odd_structure_report(ctx: Context) -> StructureReport:
     """Structural audit for an odd-p positive: consistency of the
     semidirect / N=C / per-subgroup-N=C equivalence, solvability of the
@@ -494,8 +505,8 @@ def odd_structure_report(ctx: Context) -> StructureReport:
     c_semi = R.order() * P.order() == G.order()
     c_sylow = ncq == 1
     c_all = all(
-        normalizer(G, Q).order() == centralizer(G, Q).order()
-        for Q in _nontrivial_subgroups_of_cyclic(G, P, p)
+        ctx.local(normalizer, Q).order() == ctx.local(centralizer, Q).order()
+        for Q in ctx.chain
     )
     if not (c_semi == c_sylow == c_all):
         violations.append(
@@ -545,13 +556,13 @@ def cyclic_sylow_report(ctx: Context) -> StructureReport:
     )
 
 
-def _a4_embeds(G: Group, kleins: list[Group]) -> bool:
+def _a4_embeds(ctx: Context) -> bool:
     """A4 <= G iff some Klein four subgroup of a fixed Sylow 2-subgroup is
     normalized but not centralized by an element of order 3 (sufficient by
     Sylow conjugacy)."""
-    for K in kleins:
-        cset = centralizer(G, K).element_set()
-        for y in normalizer(G, K).element_list():
+    for K in ctx.kleins:
+        cset = ctx.local(centralizer, K).element_set()
+        for y in ctx.local(normalizer, K).element_list():
             if y.order() == 3 and y not in cset:
                 return True
     return False
@@ -569,17 +580,16 @@ def even_structure_report(ctx: Context) -> StructureReport:
 
     if not is_nilpotent(derived_subgroup(R)):
         violations.append("THEOREM-VIOLATION: [R,R] not nilpotent")
-    kleins = _klein_subgroups(P)
     rset = R.element_set()
-    for K in kleins:
-        fixed = [x for x in centralizer(G, K).element_list() if x in rset]
+    for K in ctx.kleins:
+        fixed = [x for x in ctx.local(centralizer, K).element_list() if x in rset]
         if len(fixed) != 1:
             violations.append(
                 f"THEOREM-VIOLATION: a Klein four centralizes {len(fixed)} odd-core elements"
             )
 
     Qbar = G if R.is_trivial() else quotient_by(G, R)[0]
-    has_a4 = _a4_embeds(G, kleins)
+    has_a4 = _a4_embeds(ctx)
     trace_prime_case = False
     if not has_a4:
         case = "1:G=RP"
@@ -642,7 +652,7 @@ def even_structure_report(ctx: Context) -> StructureReport:
                     f"THEOREM-VIOLATION: chief factor rank {X.rank} is not a multiple of 3"
                 )
         fixed_dims = []
-        for K in kleins:
+        for K in ctx.kleins:
             mats = [factor_action(G, X, g)[0] for g in K.generators]
             fixed_dims.append(fixed_space_dim(mats, X.prime))
         entry["klein_fixed_dims"] = fixed_dims
@@ -668,12 +678,11 @@ def even_structure_report(ctx: Context) -> StructureReport:
 
 
 def _check_two_cases_odd(ctx: Context) -> bool:
-    G, P, p = ctx.G, ctx.P, ctx.p
+    P = ctx.P
     if shape_of(P).kind != "Cyclic" and not P.is_trivial():
         return False
-    for Q in _nontrivial_subgroups_of_cyclic(G, P, p):
-        N = normalizer(G, Q)
-        C = centralizer(G, Q)
+    for Q in ctx.chain:
+        N, C = ctx.local(normalizer, Q), ctx.local(centralizer, Q)
         if N.order() == C.order():
             continue
         if N.order() != 2 * C.order() or not is_abelian(C) or not _inverting_outside(N, C):
@@ -682,15 +691,13 @@ def _check_two_cases_odd(ctx: Context) -> bool:
 
 
 def _check_basic1(ctx: Context) -> bool:
-    G, P, p, NP, CP = ctx.G, ctx.P, ctx.p, ctx.N, ctx.C
+    G, p, NP, CP = ctx.G, ctx.p, ctx.N, ctx.C
     if not is_abelian(CP) or not _inverting_outside(NP, CP):
         return False
-    for Q in _nontrivial_subgroups_of_cyclic(G, P, p):
-        NQ = normalizer(G, Q)
-        CQ = centralizer(G, Q)
+    # with N(Q) = N(P) and C(Q) = C(P) the inversion check above covers Q
+    for Q in ctx.chain:
+        NQ, CQ = ctx.local(normalizer, Q), ctx.local(centralizer, Q)
         if CQ.element_set() != CP.element_set() or NQ.element_set() != NP.element_set():
-            return False
-        if not _inverting_outside(NQ, CQ):
             return False
     # every cyclic-by-p subgroup of order divisible by p is conjugate
     # into N_G(P); the orbit is walked only up to the first such conjugate

@@ -157,7 +157,10 @@ def parse_manifest(text: str) -> list[tuple[str, list[int], list[bool] | None]]:
         if len(parts) not in (2, 3) or not parts[1].startswith("p="):
             raise ValueError(f"manifest line {lineno}: bad format: {raw!r}")
         spec = parts[0]
-        primes = [int(s) for s in parts[1][2:].split(",") if s.strip()]
+        try:
+            primes = [int(s) for s in parts[1][2:].split(",") if s.strip()]
+        except ValueError:
+            primes = []
         if not primes or not all(is_prime(p) for p in primes):
             raise ValueError(f"manifest line {lineno}: bad prime list: {raw!r}")
         expect = None

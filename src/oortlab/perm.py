@@ -136,10 +136,12 @@ def mulclose(gens: Iterable[Perm], cap: Optional[int] = None) -> Optional[dict[P
     """Closure of gens under composition (a subgroup, since everything is
     finite), in breadth-first order from the identity.  The result is an
     insertion-ordered dict used as an ordered set.  Returns None if the
-    closure grows past ``cap``."""
+    closure grows past ``cap``; without a cap, raises CapExceeded once it
+    grows past ENUM_CAP."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
+    limit = enum_cap() if cap is None else cap
     one = identity(len(gens[0]))
     els = {one: None}
     frontier = [one]
@@ -151,7 +153,9 @@ def mulclose(gens: Iterable[Perm], cap: Optional[int] = None) -> Optional[dict[P
                 if c not in els:
                     els[c] = None
                     new.append(c)
-                    if cap is not None and len(els) > cap:
+                    if len(els) > limit:
+                        if cap is None:
+                            raise CapExceeded(f"closure exceeds ENUM_CAP {limit}")
                         return None
         frontier = new
     return els

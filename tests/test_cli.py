@@ -39,6 +39,14 @@ def test_construct_json(capsys):
     assert doc["generators"]
 
 
+def test_construct_closure_respects_enum_cap(capsys, monkeypatch):
+    # the order of S:6 comes from its chain; the derived series closes A6
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", "100")
+    code, _, err = run(capsys, "construct", "S:6")
+    assert code == EXIT_CAP
+    assert "ENUM_CAP" in err
+
+
 def test_construct_bad_spec(capsys):
     code, _, err = run(capsys, "construct", "X:9")
     assert code == EXIT_PARSE
@@ -183,6 +191,40 @@ def test_audit_computes_core_and_sylow_once(capsys, monkeypatch, spec, p, sylows
     assert calls.count(("sylow", order, p)) == sylows
 
 
+@pytest.mark.parametrize(
+    "argv,normalizers_once",
+    [
+        (["audit", "S:4", "--p", "3"], False),
+        (["audit", "D:18", "--p", "3"], False),
+        (["audit", "A:5", "--p", "2"], True),
+        (["audit", "INV:3:8:cyclic", "--p", "2"], True),
+        (["check", "S:4", "--p", "3", "--route", "crit"], True),
+    ],
+    ids=["audit-S4-3", "audit-D18-3", "audit-A5-2", "audit-INV3_8cyclic-2", "crit-S4-3"],
+)
+def test_one_normalizer_and_centralizer_per_subgroup(capsys, monkeypatch, argv, normalizers_once):
+    """The criterion, the report and the claim audit of one request share
+    each N_G(H) and C_G(H).  On odd audits basic1's cyclic-by-p stream, a
+    definition-route routine, keeps its own normalizer calls."""
+    keys = {"normalizer": [], "centralizer": []}
+
+    def counting(name, fn):
+        def wrapper(G, H):
+            keys[name].append((G.order(), H.element_set()))
+            return fn(G, H)
+
+        return wrapper
+
+    for name in keys:
+        monkeypatch.setattr(classify, name, counting(name, getattr(classify, name)))
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert keys["centralizer"]
+    assert len(set(keys["centralizer"])) == len(keys["centralizer"])
+    if normalizers_once:
+        assert len(set(keys["normalizer"])) == len(keys["normalizer"])
+
+
 # -- manifest parsing ---------------------------------------------------
 
 
@@ -207,10 +249,11 @@ def test_parse_manifest_good():
         "C:12 ; p=2 ; expect=T,F",
         "C:12 ; p=2 ; expect=yes",
         "C:12 ; p=2 ; wrong=T",
+        "C:12 ; p=2,x",
     ],
 )
 def test_parse_manifest_bad(line):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="manifest line 1"):
         parse_manifest(line)
 
 
