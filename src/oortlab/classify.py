@@ -263,9 +263,9 @@ def is_o_group_by_definition(G: Group, p: int) -> OortVerdict:
 class Context:
     """The criterion-side quantities of one (G, p), each computed on first
     use: a Sylow p-subgroup P, its normalizer N and centralizer C in G,
-    the p'-core R, ncq = |N/C|, the nontrivial subgroups of a cyclic P
-    (:attr:`chain`), the Klein fours of P (:attr:`kleins`), and the
-    criterion verdict.  :meth:`local` computes the normalizer or the
+    the p'-core R, ncq = |N/C|, the shape of P, the nontrivial subgroups
+    of a cyclic P (:attr:`chain`), the Klein fours of P (:attr:`kleins`),
+    and the criterion verdict.  :meth:`local` computes the normalizer or the
     centralizer of each subgroup once."""
 
     def __init__(self, G: Group, p: int):
@@ -292,6 +292,10 @@ class Context:
     @property
     def C(self) -> Group:
         return self.local(centralizer, self.P)
+
+    @cached_property
+    def shape(self) -> ShapeVerdict:
+        return shape_of(self.P)
 
     @cached_property
     def chain(self) -> list[Group]:
@@ -341,7 +345,7 @@ class Context:
         """
         p, P = self.p, self.P
         if p == 2:
-            sh = shape_of(P)
+            sh = self.shape
             if sh.kind == "Cyclic":
                 return OortVerdict(True, "CriterionTwo", "Sylow cyclic", ())
             if sh.kind != "Dihedral":
@@ -352,7 +356,7 @@ class Context:
             return OortVerdict(True, "CriterionTwo", "Sylow dihedral self-centralizing Kleins", ())
         if P.is_trivial():
             return OortVerdict(True, "CriterionOdd", "N=C", ())
-        if shape_of(P).kind != "Cyclic":
+        if self.shape.kind != "Cyclic":
             return OortVerdict(False, "CriterionOdd", "Sylow noncyclic", ())
         if self.ncq == 1:
             return OortVerdict(True, "CriterionOdd", "N=C", ())
@@ -678,8 +682,7 @@ def even_structure_report(ctx: Context) -> StructureReport:
 
 
 def _check_two_cases_odd(ctx: Context) -> bool:
-    P = ctx.P
-    if shape_of(P).kind != "Cyclic" and not P.is_trivial():
+    if ctx.shape.kind != "Cyclic" and not ctx.P.is_trivial():
         return False
     for Q in ctx.chain:
         N, C = ctx.local(normalizer, Q), ctx.local(centralizer, Q)
@@ -764,8 +767,8 @@ def theorem_audit(ctx: Context) -> list[tuple[str, str]]:
             "for-odd-odd",
             G.order() % 2 == 1,
             lambda: positive
-            == (shape_of(P).kind == "Cyclic" and ctx.ncq == 1)
-            == (shape_of(P).kind == "Cyclic" and ctx.R.order() * P.order() == G.order()),
+            == (ctx.shape.kind == "Cyclic" and ctx.ncq == 1)
+            == (ctx.shape.kind == "Cyclic" and ctx.R.order() * P.order() == G.order()),
         )
         add("solvable-core", positive and n_ne_c, lambda: is_solvable(ctx.R))
         results.append(("nontrivial-center-2", "not-applicable"))
@@ -775,7 +778,7 @@ def theorem_audit(ctx: Context) -> list[tuple[str, str]]:
         results.append(("basic1", "not-applicable"))
         results.append(("for-odd-odd", "not-applicable"))
         results.append(("solvable-core", "not-applicable"))
-        noncyclic = shape_of(P).kind != "Cyclic"
+        noncyclic = ctx.shape.kind != "Cyclic"
         Z = center(G)
         add(
             "nontrivial-center-2",

@@ -12,13 +12,22 @@ element set computes its generators and chain only when they are read.
 
 :func:`mulclose` is the one closure routine and :func:`orbit` the one
 orbit routine.
+
+Every product goes through ``Perm.__mul__``, one ``itemgetter`` call.
+The identity of each degree is one shared object, so ``is_identity`` is a
+single tuple comparison.  :class:`StabilizerChain` is incremental: each
+level stores the inverse of every transversal representative beside it,
+adding a generator only extends the transversal, and only the Schreier
+generators of the new (point, generator) pairs are sifted.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from collections import deque
+from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -56,10 +65,9 @@ class Perm(tuple):
     def __mul__(self, other):  # type: ignore[override]
         if len(self) != len(other):
             raise DegreeMismatch(f"degree {len(self)} vs {len(other)}")
-        return Perm(map(self.__getitem__, other))
-
-    def __rmul__(self, other):  # pragma: no cover - symmetry only
-        return Perm(other) * self
+        if len(self) < 2:  # the identity; itemgetter needs two indices for a tuple
+            return self
+        return Perm(itemgetter(*other)(self))
 
     def inv(self) -> "Perm":
         img = [0] * len(self)
@@ -80,7 +88,7 @@ class Perm(tuple):
         return result
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self))
+        return self == identity(len(self))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point."""
@@ -110,7 +118,9 @@ class Perm(tuple):
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
 
+@lru_cache(maxsize=None)
 def identity(degree: int) -> Perm:
+    """The identity of the given degree, one shared object per degree."""
     return Perm(range(degree))
 
 
@@ -183,19 +193,29 @@ def orbit(
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal")
+    __slots__ = ("base", "gens", "transversal", "inverses")
 
     def __init__(self, base: int, degree: int):
         self.base = base
-        self.gens: list[Perm] = []
+        self.gens: dict[Perm, Perm] = {}  # generator -> its inverse
+        # transversal[pt] maps base to pt; inverses[pt] is its inverse
         self.transversal: dict[int, Perm] = {base: identity(degree)}
+        self.inverses: dict[int, Perm] = {base: identity(degree)}
 
 
 class StabilizerChain:
-    """Deterministic Schreier-Sims stabilizer chain.
+    """Deterministic incremental Schreier-Sims stabilizer chain.
 
     Base points are always the lowest point moved by the first generator
     reaching that level, so identical generator lists give identical chains.
+
+    Each level keeps its transversal and the inverse of every
+    representative.  Adding a generator only extends the transversal, so
+    representatives never change, and only the Schreier generators of new
+    (point, generator) pairs are sifted: those of every old point with the
+    new generator and of every new point with every generator.  Each
+    Schreier generator is sifted once and stays in the next level's group
+    (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
     """
 
     def __init__(self, degree: int, gens: Iterable[Perm]):
@@ -222,29 +242,24 @@ class StabilizerChain:
         level = self.levels[i]
         if g in level.gens:
             return
-        level.gens.append(g)
-        self._close_level(i)
-
-    def _close_level(self, i: int) -> None:
-        level = self.levels[i]
-        # Rebuild the orbit/transversal of the base under the level gens.
-        level.transversal = {level.base: identity(self.degree)}
-        queue = deque([level.base])
-        while queue:
-            pt = queue.popleft()
-            rep = level.transversal[pt]
-            for s in level.gens:
+        g_inv = level.gens[g] = g.inv()
+        trans, invs = level.transversal, level.inverses
+        # old points need only the new generator; new points need them all
+        points = list(trans)
+        n_old = len(points)
+        for k, pt in enumerate(points):  # grows as the orbit is extended
+            rep = trans[pt]
+            for s, s_inv in level.gens.items() if k >= n_old else ((g, g_inv),):
                 img = s[pt]
-                if img not in level.transversal:
-                    level.transversal[img] = s * rep
-                    queue.append(img)
-        # Schreier generators of the stabilizer go one level down.
-        for pt, rep in list(level.transversal.items()):
-            for s in level.gens:
-                schreier = level.transversal[s[pt]].inv() * s * rep
-                if schreier.is_identity():
+                moved = s * rep
+                if img not in trans:
+                    trans[img] = moved
+                    invs[img] = invs[pt] * s_inv
+                    points.append(img)
                     continue
-                residue = self._sift_from(schreier, i + 1)
+                if moved == trans[img]:  # the Schreier generator is trivial
+                    continue
+                residue = self._sift_from(invs[img] * moved, i + 1)
                 if not residue.is_identity():
                     self._add(residue, i + 1)
 
@@ -252,11 +267,10 @@ class StabilizerChain:
         """Residue after stripping through levels i, i+1, ...; identity iff
         g lies in the stabilizer subgroup at level i."""
         for level in self.levels[i:]:
-            x = g[level.base]
-            rep = level.transversal.get(x)
-            if rep is None:
+            rep_inv = level.inverses.get(g[level.base])
+            if rep_inv is None:
                 return g
-            g = rep.inv() * g
+            g = rep_inv * g
         return g
 
 
@@ -357,7 +371,9 @@ class Group:
         """(E, Einv): row k is the image table of ``element_list()[k]`` and
         of its inverse, for vectorized filters over the whole group."""
         if self._element_arrays is None:
-            E = np.array(self.element_list(), dtype=np.int32)
+            els = self.element_list()
+            n, d = len(els), self.degree
+            E = np.fromiter(itertools.chain.from_iterable(els), np.int32, count=n * d).reshape(n, d)
             self._element_arrays = (E, np.argsort(E, axis=1).astype(np.int32))
         return self._element_arrays
 

@@ -225,6 +225,27 @@ def test_one_normalizer_and_centralizer_per_subgroup(capsys, monkeypatch, argv, 
         assert len(set(keys["normalizer"])) == len(keys["normalizer"])
 
 
+@pytest.mark.parametrize(
+    "spec,p,calls",
+    [("S:4", 3, 2), ("A:5", 5, 2), ("D:18", 3, 2), ("A:5", 2, 1), ("D:16", 2, 2)],
+)
+def test_audit_shapes_the_sylow_once(capsys, monkeypatch, spec, p, calls):
+    """The criterion, two-cases-odd and the claim audit read one shape of
+    P.  On D:16 (G = P) the nontrivial-center check still shapes G."""
+    shape_of, keys = classify.shape_of, []
+
+    def counting(H):
+        keys.append(H.element_set())
+        return shape_of(H)
+
+    monkeypatch.setattr(classify, "shape_of", counting)
+    code, _, _ = run(capsys, "audit", spec, "--p", str(p))
+    assert code == EXIT_OK
+    assert len(keys) == calls
+    if spec != "D:16":
+        assert len(set(keys)) == len(keys)
+
+
 # -- manifest parsing ---------------------------------------------------
 
 

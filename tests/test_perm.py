@@ -1,10 +1,12 @@
 """Permutation and group engine tests."""
 
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oortlab.construct import build_group
 from oortlab.errors import CapExceeded, DegreeMismatch, NonMember, NotNormal
 from oortlab.perm import (
     Group,
@@ -17,7 +19,6 @@ from oortlab.perm import (
     quotient_by,
 )
 
-perm5 = st.permutations(range(5)).map(Perm)
 perm7 = st.permutations(range(7)).map(Perm)
 
 
@@ -77,14 +78,86 @@ def test_mulclose_s3():
     assert mulclose([a, b], cap=5) is None
 
 
-@given(st.lists(perm5, min_size=1, max_size=3))
-@settings(max_examples=50)
-def test_chain_order_matches_mulclose(gens):
+@st.composite
+def block_groups(draw):
+    """1-4 generators of degree 5-9 that preserve one split of the points
+    into two blocks of at most five, so the closure lies in a conjugate of
+    S_m x S_(n-m) and stays small, and a few random permutations of the
+    same degree (mostly non-members)."""
+    n = draw(st.integers(5, 9))
+    m = draw(st.integers(n - 5, 5))
+    sigma = Perm(draw(st.permutations(range(n))))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        g = Perm(draw(st.permutations(range(m))) + draw(st.permutations(range(m, n))))
+        gens.append(sigma * g * sigma.inv())
+    probes = draw(st.lists(st.permutations(range(n)).map(Perm), min_size=1, max_size=10))
+    return gens, probes
+
+
+@given(block_groups())
+@settings(max_examples=50, deadline=None)
+def test_chain_order_matches_mulclose(case):
+    gens, probes = case
     els = mulclose(gens)
-    chain = StabilizerChain(5, gens)
+    chain = StabilizerChain(len(gens[0]), gens)
     assert chain.order() == len(els)
     for e in els:
         assert chain.contains(e)
+    for x in probes:
+        assert chain.contains(x) == (x in els)
+
+
+@pytest.mark.parametrize("spec", ["DELPERM:5:S4", "INV:15:16:klein", "PSL3_4"])
+def test_chain_of_random_subgroups(spec):
+    """Chains of subgroups generated by 1-3 random elements, and the chain
+    grown one generator at a time by the generator sift of a group built
+    from its element set."""
+    G = build_group(spec)
+    els = G.element_list()
+    rng = random.Random(6)
+    for _ in range(4):
+        gens = rng.sample(els, rng.randint(1, 3))
+        H = mulclose(gens)
+        chain = StabilizerChain(G.degree, gens)
+        assert chain.order() == len(H)
+        for x in rng.sample(els, 100):
+            assert chain.contains(x) == (x in H)
+        sifted = Group.from_element_set(G.degree, H).generators
+        assert Group(G.degree, sifted).order() == len(H)
+
+
+def test_degrees_one_and_two():
+    e1 = identity(1)
+    assert e1 * e1 == e1 and e1.is_identity()
+    assert list(mulclose([e1])) == [e1]
+    e2, t = identity(2), Perm((1, 0))
+    assert t * t == e2 and t * e2 == t and e2 * t == t
+    assert e2.is_identity() and not t.is_identity()
+    assert list(mulclose([t])) == [e2, t]
+    assert list(mulclose([e2])) == [e2]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [perm_from_cycles(4, [(0, 1, 2, 3)]), perm_from_cycles(4, [(0, 1)])],
+        [perm_from_cycles(12, [tuple(range(12))])],
+    ],
+    ids=["S4", "C12"],
+)
+def test_mulclose_products_go_through_mul(monkeypatch, gens):
+    """Every product of the closure is a ``Perm.__mul__`` call, which is
+    where the benchmark's tracer counts products."""
+    mul, calls = Perm.__mul__, [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Perm, "__mul__", counting)
+    els = mulclose(gens)
+    assert calls[0] == len(els) * len(gens)
 
 
 def test_group_membership_and_enumeration():
