@@ -2,14 +2,18 @@
 subgroups, O_pi, derived/chief structure, chief-factor linear algebra.
 
 Centralizers and normalizers filter the exhaustive element store (all
-ambient groups here fit under ENUM_CAP).  The store, its numpy
-image/inverse tables and the lazily derived generators of each subgroup
-all live in :class:`~oortlab.perm.Group`; the filters here are vectorized
-over those tables so that even the 20160-element case stays fast.
+ambient groups here fit under ENUM_CAP).  The store (image rows, base-image
+keys, ids) and the lazily derived generators of each subgroup all live in
+:class:`~oortlab.perm.Group`.  The three filters on the criterion's path
+read G's base columns only: ``centralizer`` compares g(h(b)) with h(g(b)),
+``normalizer`` forms g h g^-1 at the base and looks its key up among H's
+keys, and ``sylow`` computes the orders of a normalizer's elements
+together, iterating g over the base points.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
@@ -18,25 +22,35 @@ import numpy as np
 
 from .errors import NonSubgroup, NotNormal, NotPGroup, TooLarge
 from .gf import factorize
-from .perm import Group, Perm, identity, mulclose, orbit, quotient_by
+from .perm import KEYED_MIN_ORDER, Group, Perm, identity, mulclose, orbit, quotient_by
 
 
-# -- vectorized element store ------------------------------------------
+# -- filters over the element store ------------------------------------
 
 
-def _rows_in_set(rows: np.ndarray, els: frozenset) -> np.ndarray:
-    return np.fromiter((tuple(r) in els for r in rows.tolist()), dtype=bool, count=len(rows))
+def _generator_rows(G: Group, H: Group) -> np.ndarray:
+    """H's generators as image rows, after checking that they lie in G."""
+    gens = H.generators
+    for h in gens:
+        if not G.contains(h):
+            raise NonSubgroup("H is not a subgroup of G")
+    rows = np.fromiter(itertools.chain.from_iterable(gens), np.int32, count=len(gens) * G.degree)
+    return rows.reshape(len(gens), G.degree)
+
+
+def _filtered(G: Group, mask: np.ndarray) -> Group:
+    return Group.from_element_set(G.degree, list(itertools.compress(G.element_list(), mask.tolist())))
 
 
 def centralizer(G: Group, H: Group) -> Group:
-    """C_G(H)."""
-    E, _ = G.element_arrays()
-    mask = np.ones(len(E), dtype=bool)
-    for h in H.generators:
-        h_arr = np.asarray(h, dtype=np.int32)
-        mask &= (E[:, h_arr] == h_arr[E]).all(axis=1)
-    els = [e for e, m in zip(G.element_list(), mask) if m]
-    return Group.from_element_set(G.degree, els)
+    """C_G(H) for a subgroup H of G.  g h and h g both lie in G, so they
+    are equal exactly when their base images agree: g(h(b)) = h(g(b))."""
+    hs = _generator_rows(G, H)
+    S = G.store()
+    gb = S.E[:, S.base]  # g(b)
+    g_of_hb = np.take(S.E, hs[:, S.base], axis=1)  # [g, h, b] -> g(h(b))
+    h_of_gb = hs[:, gb]  # [h, g, b] -> h(g(b))
+    return _filtered(G, (g_of_hb == h_of_gb.transpose(1, 0, 2)).all(axis=(1, 2)))
 
 
 def center(G: Group) -> Group:
@@ -44,28 +58,29 @@ def center(G: Group) -> Group:
 
 
 def normalizer(G: Group, H: Group) -> Group:
-    """N_G(H) = {g : g H g^-1 = H}."""
-    hset = H.element_set()
-    for h in H.generators:
-        if not G.contains(h):
-            raise NonSubgroup("H is not a subgroup of G")
+    """N_G(H) = {g : g H g^-1 = H}.  Each conjugate g h g^-1 is formed at
+    G's base columns only and looked up by its key among H's keys."""
+    hs = _generator_rows(G, H)
     if H.is_trivial():
         return G
-    E, Einv = G.element_arrays()
-    mask = np.ones(len(E), dtype=bool)
-    for h in H.generators:
-        h_arr = np.asarray(h, dtype=np.int32)
-        conj = np.take_along_axis(E, h_arr[Einv], axis=1)
-        mask &= _rows_in_set(conj, hset)
-    els = [e for e, m in zip(G.element_list(), mask) if m]
-    return Group.from_element_set(G.degree, els)
+    S = G.store()
+    hkeys = np.sort(S.key(S.base_images(H.element_list())))
+    h_of_ginv_b = hs[:, S.inverse_base()]  # [h, g, b] -> h(g^-1(b))
+    keys = S.key(S.E[np.arange(len(S.E))[:, None], h_of_ginv_b])  # of g h g^-1
+    found = hkeys[np.searchsorted(hkeys, keys).clip(max=len(hkeys) - 1)] == keys
+    return _filtered(G, found.all(axis=0))
 
 
 # -- closures and conjugacy --------------------------------------------
 
 
+def _with_inverses(G: Group) -> list[tuple[Perm, Perm]]:
+    """(g, g^-1) for each generator of G, in generator order."""
+    return [(g, g.inv()) for g in G.generators]
+
+
 def conjugacy_class(G: Group, x: Perm) -> set[Perm]:
-    return set(orbit(x, G.generators, lambda g, y: g * y * g.inv()))
+    return set(orbit(x, _with_inverses(G), lambda gg, y: gg[0] * y * gg[1]))
 
 
 def normal_closure(G: Group, gens: Sequence[Perm], cap: Optional[int] = None) -> Optional[Group]:
@@ -74,14 +89,15 @@ def normal_closure(G: Group, gens: Sequence[Perm], cap: Optional[int] = None) ->
     work = [Perm(g) for g in gens if not Perm(g).is_identity()]
     if not work:
         return Group(G.degree, [])
+    pairs = _with_inverses(G)
     while True:
         els = mulclose(work, cap=cap)
         if els is None:
             return None
         new = []
         for w in work:
-            for g in G.generators:
-                c = g * w * g.inv()
+            for g, ginv in pairs:
+                c = g * w * ginv
                 if c not in els:
                     new.append(c)
         if not new:
@@ -140,26 +156,49 @@ def o_p_prime(G: Group, p: int) -> Group:
 # -- Sylow machinery ---------------------------------------------------
 
 
-def _p_element_part(x: Perm, p: int) -> Perm:
-    n = x.order()
+def _p_element_part(x: Perm, n: int, p: int) -> Perm:
+    """The p-part of x, whose order is n."""
     return x ** (n // p_part(n, {p}))
+
+
+def _with_orders(G: Group, xs: Sequence[Perm]) -> Iterable[tuple[Perm, int]]:
+    """(x, order of x) for the elements xs of G.  On a group of order at
+    least KEYED_MIN_ORDER the orders are computed together over G's base
+    columns; on a smaller one ``Perm.order`` runs lazily, so a scan that
+    stops early orders only what it has read."""
+    if G.order() < KEYED_MIN_ORDER:
+        return ((x, x.order()) for x in xs)
+    S = G.store()
+    return zip(xs, S.orders(S.lookup(S.key(S.base_images(xs)))).tolist())
 
 
 def sylow(G: Group, p: int) -> Group:
     """A Sylow p-subgroup, grown through normalizers: a p-subgroup that is
-    not yet Sylow has p-elements in its normalizer outside itself."""
+    not yet Sylow has p-elements in its normalizer outside itself.
+
+    The seed is the first element of G, in element-list order, whose order
+    p divides, and each new generator is the p-part of the first such
+    element of the normalizer, in its sorted order, whose p-part lies
+    outside.  In a group large enough for the store, the orders of the
+    normalizer's elements are computed together, so those of order prime
+    to p cost no permutation work."""
     target = p_part(G.order(), {p})
     if target == 1:
         return Group(G.degree, [])
-    seed = next(x for x in G.element_list() if x.order() % p == 0)
-    gens = [_p_element_part(seed, p)]
+    for seed in G.element_list():
+        n = seed.order()
+        if n % p == 0:
+            break
+    gens = [_p_element_part(seed, n, p)]
     els = mulclose(gens)
     while len(els) < target:
         P = Group.from_element_set(G.degree, els)
         N = normalizer(G, P)
-        for y in N.element_list():
-            yp = _p_element_part(y, p)
-            if not yp.is_identity() and yp not in els:
+        for y, n in _with_orders(G, N.element_list()):
+            if n % p:
+                continue
+            yp = _p_element_part(y, n, p)
+            if yp not in els:
                 gens.append(yp)
                 els = mulclose(gens)
                 break
@@ -205,8 +244,10 @@ def subgroups_of_p_group(P: Group, p: int) -> list[Group]:
                 # x must normalize a and have x^p in a to extend by index p
                 if ppow[x] not in a:
                     continue
-                if not abelian and any(x * g * x.inv() not in a for g in a):
-                    continue
+                if not abelian:
+                    xinv = x.inv()
+                    if any(x * g * xinv not in a for g in a):
+                        continue
                 b = set(a)
                 cur = x
                 for _ in range(p - 1):
@@ -289,7 +330,11 @@ def predicates(G: Group) -> dict[str, bool]:
 
 def is_normal(G: Group, H: Group) -> bool:
     hset = H.element_set()
-    return all(g * h * g.inv() in hset for g in G.generators for h in H.generators)
+    for g in G.generators:
+        ginv = g.inv()
+        if any(g * h * ginv not in hset for h in H.generators):
+            return False
+    return True
 
 
 def minimal_normal_subgroups(G: Group) -> list[Group]:

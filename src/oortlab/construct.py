@@ -277,12 +277,12 @@ def deleted_perm_semidirect(r: int, top: str, sign_twist: bool = False) -> Group
             make_perm([code(tuple((a + b) % r for a, b in zip(vec(p), basis))) for p in range(degree)])
         )
     for cycles in _TOP_GENS[top]:
-        sigma = perm_from_cycles(4, cycles)
+        sigma_inv = perm_from_cycles(4, cycles).inv()
         eps = _coord_perm_sign(cycles) if sign_twist else 1
         img = []
         for p in range(degree):
             v = vec(p)
-            w = tuple(eps * v[sigma.inv()[i]] % r for i in range(4))
+            w = tuple(eps * v[sigma_inv[i]] % r for i in range(4))
             img.append(code(w))
         gens.append(make_perm(img))
     top_order = 12 if top == "A4" else 24

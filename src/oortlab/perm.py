@@ -5,13 +5,24 @@ Points are 0-based.  The composition convention is (a * b)(x) = a(b(x)):
 
 :class:`Group` owns its element store: the deterministic stabilizer chain
 (base points chosen as the lowest moved point) for order and membership,
-the exhaustive element list and set for desk-scale groups, the numpy
-image/inverse tables built from that list, and a small generating set for
-conjugation sweeps.  Each is filled on first use.  A group built from its
-element set computes its generators and chain only when they are read.
+the exhaustive element list and set for desk-scale groups, the integer
+:class:`ElementStore` built beside that list, and a small generating set
+for conjugation sweeps.  Each is filled on first use.  A group built from
+its element set computes its generators and chain only when they are
+read, and its chain is the one its generator sift built.
 
-:func:`mulclose` is the one closure routine and :func:`orbit` the one
-orbit routine.
+The store holds one numpy image row per element (its id is the row) and
+an int64 key per element, sum g[b_i] * degree**i over the chain's base
+points b_i; the keys are sorted and ids are found with ``searchsorted``.
+A group of order at least KEYED_MIN_ORDER is enumerated through it: the
+rows are the products of the chain's transversals, and a breadth-first
+walk over one left-multiplication id table per generator orders them as
+:func:`mulclose` would.  Filters that read only base columns (keyed
+membership, commutation and element orders) then cost O(|G| * |base|)
+instead of O(|G| * degree).
+
+:func:`mulclose` is the one closure routine on permutations and
+:func:`orbit` the one orbit routine.
 
 Every product goes through ``Perm.__mul__``, one ``itemgetter`` call.
 The identity of each degree is one shared object, so ``is_identity`` is a
@@ -274,6 +285,116 @@ class StabilizerChain:
         return g
 
 
+# Groups of smaller order are enumerated by mulclose, and sylow orders
+# their elements one at a time: below this size the fixed cost of the
+# store's numpy calls exceeds the Python work it saves.  Forcing either
+# path on the catalogue, the store lost on most groups of order <= 72, was
+# mixed at 80-120 and won on every group of order >= 144.
+KEYED_MIN_ORDER = 128
+
+
+class ElementStore:
+    """The integer form of an enumerated group G.
+
+    ``E`` holds one image row per element, in ``G.element_list()`` order;
+    an element's id is its row.  ``base`` holds the base points of G's
+    chain, and the key of g is the number sum g[b_i] * degree**i formed
+    from its base images.  Only the identity of G fixes every base point,
+    so the key determines an element of G, and membership of an element of
+    G in a subgroup H is a key lookup among H's keys at this base.  Keys
+    are int64 unless degree**len(base) overflows it, in which case they
+    are Python integers.  ``lookup`` finds ids with ``searchsorted`` in
+    the sorted keys, sorted on first use.
+    """
+
+    __slots__ = ("E", "base", "radix", "keys", "ids", "_inverse_base")
+
+    def __init__(self, E: np.ndarray, base: Sequence[int]):
+        degree, b = E.shape[1], len(base)
+        self.E = E
+        self.base = np.array(base, dtype=np.intp)
+        dtype = np.int64 if degree**b < 2**63 else object
+        self.radix = np.array([degree**i for i in range(b)], dtype=dtype)
+        self.keys: Optional[np.ndarray] = None  # sorted; ids[j] has key keys[j]
+        self.ids: Optional[np.ndarray] = None
+        self._inverse_base: Optional[np.ndarray] = None
+
+    def key(self, images: np.ndarray) -> np.ndarray:
+        """Keys of the elements whose base images run along the last axis."""
+        return images @ self.radix
+
+    def base_images(self, els: Sequence[Perm]) -> np.ndarray:
+        """The base images of the given permutations, one row each."""
+        base = self.base.tolist()
+        flat = np.fromiter((x[b] for x in els for b in base), np.int32, count=len(els) * len(base))
+        return flat.reshape(len(els), len(base))
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Ids of the elements of G with the given keys."""
+        if self.keys is None:
+            keys_by_id = self.key(self.E[:, self.base])
+            self.ids = np.argsort(keys_by_id)
+            self.keys = keys_by_id[self.ids]
+        return self.ids[np.searchsorted(self.keys, keys)]
+
+    def orders(self, ids: np.ndarray) -> np.ndarray:
+        """Orders of the elements with the given ids: g^k(b) = g(g^(k-1)(b))
+        over the base columns only, and the order of g is the first k at
+        which g^k fixes every base point."""
+        orders = np.zeros(len(ids), dtype=np.int64)
+        todo = np.arange(len(ids))
+        cur = self.E[ids[:, None], self.base]
+        k = 1
+        while len(todo):
+            fixed = (cur == self.base).all(axis=1)
+            orders[todo[fixed]] = k
+            todo, cur = todo[~fixed], cur[~fixed]
+            cur = self.E[ids[todo][:, None], cur]
+            k += 1
+        return orders
+
+    def inverse_base(self) -> np.ndarray:
+        """g^-1(b) for every element g (rows) and base point b (columns)."""
+        if self._inverse_base is None:
+            self._inverse_base = (self.E[:, :, None] == self.base).argmax(axis=1)
+        return self._inverse_base
+
+
+def _enumerate(chain: StabilizerChain, gens: Sequence[Perm]) -> ElementStore:
+    """The store of the group generated by gens, whose chain is given.
+
+    Its rows are the products u_1 u_2 ... u_k of one representative from
+    each level's transversal, every element exactly once.  One table per
+    generator a gives the id of a * g for every g, and a breadth-first walk
+    over those tables from the identity, frontier by frontier and the
+    generators in order, puts the rows in :func:`mulclose`'s order.  The
+    walk reaching every row proves that gens generate the chain's group."""
+    d = chain.degree
+    rows = np.arange(d, dtype=np.int32)[None]
+    for level in reversed(chain.levels):
+        reps = np.array(list(level.transversal.values()), dtype=np.int32)
+        rows = reps[:, rows].reshape(-1, d)
+    S = ElementStore(rows, [level.base for level in chain.levels])
+    n = len(rows)
+    images = np.array(gens, dtype=np.int32)[:, rows[:, S.base]]
+    succ = S.lookup(S.key(images)).T.tolist()  # succ[g][i]: row of gens[i] * g
+    start = int(S.lookup(S.key(S.base)))
+    seen = bytearray(n)
+    seen[start] = 1
+    walk = [start]
+    for g in walk:  # grows as the walk goes: frontier after frontier
+        for h in succ[g]:
+            if not seen[h]:
+                seen[h] = 1
+                walk.append(h)
+    if len(walk) != n:
+        raise AssertionError(f"enumeration found {len(walk)} elements, chain says {n}")
+    position = np.empty(n, dtype=np.intp)
+    position[walk] = np.arange(n)
+    S.E, S.ids = rows[walk], position[S.ids]
+    return S
+
+
 class Group:
     """A permutation group on a fixed point set, given by generators or by
     its element set.
@@ -303,7 +424,7 @@ class Group:
         self._order: Optional[int] = None if gens else 1  # no generators: trivial
         self._element_list: Optional[list[Perm]] = None
         self._element_set: Optional[frozenset[Perm]] = None
-        self._element_arrays: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._store: Optional[ElementStore] = None
         self._small_generators: Optional[tuple[Perm, ...]] = None
 
     def __repr__(self) -> str:
@@ -313,13 +434,17 @@ class Group:
     def generators(self) -> tuple[Perm, ...]:
         if self._generators is None:
             assert self._element_list is not None
-            self._generators = _sift_generators(self.degree, self._element_list)
+            # the sift's chain is the chain of the sifted generators
+            self._chain = StabilizerChain(self.degree, [])
+            self._generators = _sift_generators(self._chain, self._element_list)
         return self._generators
 
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self.generators)
+            gens = self.generators  # a group built from its element set sifts its chain here
+            if self._chain is None:
+                self._chain = StabilizerChain(self.degree, gens)
         return self._chain
 
     def order(self) -> int:
@@ -345,37 +470,45 @@ class Group:
 
     def element_list(self) -> list[Perm]:
         """All elements in deterministic order: breadth-first from the
-        identity for a group given by generators, sorted for one built from
-        its element set.  Raises CapExceeded when the group is larger than
-        ENUM_CAP."""
+        identity (:func:`mulclose`'s order) for a group given by
+        generators, sorted for one built from its element set.  Raises
+        CapExceeded when the group is larger than ENUM_CAP.
+
+        A group of order at least KEYED_MIN_ORDER is enumerated through its
+        :class:`ElementStore`: the rows are the products of the chain's
+        transversals and the walk runs over ids; a smaller one runs
+        :func:`mulclose`, which costs less than the numpy calls there."""
         if self._element_list is None:
             n = self.order()
             if n > enum_cap():
                 raise CapExceeded(f"group order {n} exceeds ENUM_CAP {enum_cap()}")
-            els = list(mulclose(self.generators or [self.identity()]))
-            if len(els) != n:
-                raise AssertionError(
-                    f"enumeration found {len(els)} elements, chain says {n}"
-                )
+            gens = self.generators or [self.identity()]
+            if n < KEYED_MIN_ORDER:
+                els = list(mulclose(gens))
+                if len(els) != n:
+                    raise AssertionError(f"enumeration found {len(els)} elements, chain says {n}")
+                self._element_set = frozenset(els)  # cheap here; membership tests then skip the chain
+            else:
+                self._store = _enumerate(self.chain, gens)
+                els = list(map(Perm, self._store.E.tolist()))
             self._element_list = els
-            self._element_set = frozenset(els)
         return self._element_list
 
     def element_set(self) -> frozenset[Perm]:
         if self._element_set is None:
-            self.element_list()
-        assert self._element_set is not None
+            self._element_set = frozenset(self.element_list())
         return self._element_set
 
-    def element_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(E, Einv): row k is the image table of ``element_list()[k]`` and
-        of its inverse, for vectorized filters over the whole group."""
-        if self._element_arrays is None:
+    def store(self) -> "ElementStore":
+        """The integer form of the element list (see :class:`ElementStore`),
+        keyed at the base of this group's chain."""
+        if self._store is None:
             els = self.element_list()
-            n, d = len(els), self.degree
-            E = np.fromiter(itertools.chain.from_iterable(els), np.int32, count=n * d).reshape(n, d)
-            self._element_arrays = (E, np.argsort(E, axis=1).astype(np.int32))
-        return self._element_arrays
+            if self._store is None:  # not enumerated through the store
+                n, d = len(els), self.degree
+                E = np.fromiter(itertools.chain.from_iterable(els), np.int32, count=n * d)
+                self._store = ElementStore(E.reshape(n, d), [lv.base for lv in self.chain.levels])
+        return self._store
 
     def small_generators(self) -> tuple[Perm, ...]:
         """A small generating set for conjugation sweeps (constructors often
@@ -383,7 +516,8 @@ class Group:
         if len(self.generators) <= 3:
             return self.generators
         if self._small_generators is None:
-            self._small_generators = _sift_generators(self.degree, sorted(self.element_set()))
+            chain = StabilizerChain(self.degree, [])  # a scratch chain: G keeps its own
+            self._small_generators = _sift_generators(chain, sorted(self.element_set()))
         return self._small_generators
 
     @classmethod
@@ -421,12 +555,12 @@ class Group:
         return [els[rng.randrange(len(els))] for _ in range(k)]
 
 
-def _sift_generators(degree: int, els: Sequence[Perm]) -> tuple[Perm, ...]:
+def _sift_generators(chain: StabilizerChain, els: Sequence[Perm]) -> tuple[Perm, ...]:
     """A small generating set of the group whose elements are ``els``:
-    sifting them in the given order through an incremental chain, each one
-    not yet in the chain becomes a generator, until the chain reaches the
-    group order."""
-    chain = StabilizerChain(degree, [])
+    sifting them in the given order through the incremental chain (empty
+    at the start), each one not yet in the chain becomes a generator,
+    until the chain reaches the group order.  The chain is left as the
+    chain of the returned generators."""
     gens: list[Perm] = []
     for e in els:
         if chain.order() == len(els):

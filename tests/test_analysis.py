@@ -1,9 +1,12 @@
 """Subgroup machinery tests, anchored to hand-checked values."""
 
+import random
+
 import numpy as np
 import pytest
 
 from oortlab.analysis import (
+    _p_element_part,
     center,
     centralizer,
     chief_series_within,
@@ -32,7 +35,7 @@ from oortlab.analysis import (
 )
 from oortlab.construct import build_group
 from oortlab.errors import NonSubgroup, NotPGroup
-from oortlab.perm import Group, perm_from_cycles
+from oortlab.perm import Group, mulclose, perm_from_cycles
 
 
 S4 = build_group("S:4")
@@ -79,6 +82,69 @@ def test_sylow_orders():
     assert sylow(build_group("D:18"), 3).order() == 9
     assert sylow(build_group("PSL2:7"), 7).order() == 7
     assert sylow(S4, 5).is_trivial()
+
+
+# on both sides of KEYED_MIN_ORDER
+KEYED_SPECS = ["DELPERM:5:S4", "PSL2:13", "INV:15:16:klein", "A:7", "D:10", "S:4"]
+
+
+def _random_subgroups(G: Group, seed: int) -> list[Group]:
+    """Three subgroups generated by 1-3 random elements of G."""
+    els = G.element_list()
+    rng = random.Random(seed)
+    return [Group(G.degree, rng.choices(els, k=rng.randint(1, 3))) for _ in range(3)]
+
+
+@pytest.mark.parametrize("spec", KEYED_SPECS)
+def test_keyed_filters_match_brute_force(spec):
+    G = build_group(spec)
+    for H in _random_subgroups(G, 11) + [sylow(G, 2), Group(G.degree, [])]:
+        hset = H.element_set()
+        N = {g for g in G.element_list() if all(g * h * g.inv() in hset for h in H.generators)}
+        C = {g for g in G.element_list() if all(g * h == h * g for h in H.generators)}
+        assert normalizer(G, H).element_set() == N
+        assert centralizer(G, H).element_set() == C
+
+
+def test_centralizer_needs_a_subgroup():
+    a4 = build_group("A:4")
+    with pytest.raises(NonSubgroup):
+        centralizer(a4, S4.subgroup([perm_from_cycles(4, [(0, 1)])]))
+
+
+@pytest.mark.parametrize("spec", KEYED_SPECS)
+def test_store_orders(spec):
+    G = build_group(spec)
+    els = G.element_list()
+    assert G.store().orders(np.arange(len(els))).tolist() == [x.order() for x in els]
+    ids = np.array(random.Random(12).sample(range(len(els)), min(len(els), 20)))
+    assert G.store().orders(ids).tolist() == [els[i].order() for i in ids]
+
+
+def _sylow_by_perm_order(G: Group, p: int) -> frozenset:
+    """The Sylow subgroup grown with every order taken from Perm.order:
+    the first element of G whose order p divides seeds it, and the first
+    element of each normalizer, in sorted order, with a p-part outside
+    adds its p-part."""
+    target = p_part(G.order(), {p})
+    if target == 1:
+        return frozenset([G.identity()])
+    seed = next(x for x in G.element_list() if x.order() % p == 0)
+    gens = [_p_element_part(seed, seed.order(), p)]
+    els = mulclose(gens)
+    while len(els) < target:
+        N = normalizer(G, Group.from_element_set(G.degree, els))
+        parts = (_p_element_part(y, y.order(), p) for y in N.element_list() if y.order() % p == 0)
+        gens.append(next(y for y in parts if y not in els))
+        els = mulclose(gens)
+    return frozenset(els)
+
+
+@pytest.mark.parametrize("spec", KEYED_SPECS)
+def test_sylow_keeps_its_choices(spec):
+    G = build_group(spec)
+    for p in (2, 3, 5, 7):
+        assert sylow(G, p).element_set() == _sylow_by_perm_order(G, p), p
 
 
 def test_o_pi_values():

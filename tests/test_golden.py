@@ -6,8 +6,12 @@ The expected documents in data/golden_outputs.json pin verdicts,
 branches, witness generator strings and report fields.  The first nine
 were recorded before the element store moved into ``perm.Group``, the
 audits of C:15/3, A:5/5, A:4/2, S:4/2 and D:12/2 before the criterion,
-the reports and the claim audit shared one ``classify.Context``.
-``timing_ms`` varies from run to run and is left out.
+the reports and the claim audit shared one ``classify.Context``, and
+``check`` of A:7/3, PGL2:9/2, S:6/2 and DELPERM:5:S4/5 (criterion route)
+before enumeration and the Sylow, normalizer and centralizer filters moved
+onto the integer element store: their witnesses depend on the Sylow
+subgroup picked from the breadth-first element order of a group of order
+720 or more.  ``timing_ms`` varies from run to run and is left out.
 """
 
 import json

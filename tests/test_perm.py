@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from oortlab.construct import build_group
 from oortlab.errors import CapExceeded, DegreeMismatch, NonMember, NotNormal
+from oortlab import perm
 from oortlab.perm import (
+    KEYED_MIN_ORDER,
     Group,
     Perm,
     StabilizerChain,
@@ -183,6 +185,68 @@ def test_enum_cap(monkeypatch):
     G = Group(4, [perm_from_cycles(4, [(0, 1, 2, 3)]), perm_from_cycles(4, [(0, 1)])])
     with pytest.raises(CapExceeded):
         G.element_list()
+
+
+def test_enum_cap_before_the_store(monkeypatch):
+    """A group enumerated through its store hits the cap before any row
+    or table is built."""
+    G = build_group("A:7")
+    assert G.order() >= KEYED_MIN_ORDER
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", "1000")
+    monkeypatch.setattr(perm, "_enumerate", lambda *a: pytest.fail("store built past the cap"))
+    with pytest.raises(CapExceeded):
+        G.element_list()
+    assert G._store is None and G._element_list is None
+
+
+STORE_SPECS = ["C:2", "S:4", "A:7", "PGL2:9", "DELPERM:5:S4", "INV:15:16:klein", "PSL3_4"]
+
+
+@pytest.mark.parametrize("spec", STORE_SPECS)
+def test_element_list_is_mulclose_order(spec):
+    """Enumeration keeps mulclose's breadth-first order on both sides of
+    KEYED_MIN_ORDER, for the group and for subgroups generated by 1-3
+    random elements."""
+    G = build_group(spec)
+    els = G.element_list()
+    assert els == list(mulclose(G.generators))
+    rng = random.Random(7)
+    for _ in range(3):
+        H = Group(G.degree, rng.choices(els, k=rng.randint(1, 3)))
+        assert H.element_list() == list(mulclose(H.generators or [H.identity()]))
+
+
+@pytest.mark.parametrize("spec", ["C:1", "C:2", "S:4", "D:10"])
+def test_store_enumeration_of_small_groups(monkeypatch, spec):
+    """The store's enumeration also holds below the size rule, down to
+    the trivial group with its empty base."""
+    monkeypatch.setattr(perm, "KEYED_MIN_ORDER", 1)
+    G = build_group(spec)
+    assert G.element_list() == list(mulclose(G.generators or [G.identity()]))
+    assert G._store is not None
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:7", "DELPERM:5:S4"])
+def test_store_rows_keys_and_ids(spec):
+    """Row k is element k; looking up each element's key gives its id."""
+    G = build_group(spec)
+    els = G.element_list()
+    S = G.store()
+    assert [Perm(r) for r in S.E.tolist()] == els
+    assert S.lookup(S.key(S.base_images(els))).tolist() == list(range(len(els)))
+    assert (S.keys[1:] > S.keys[:-1]).all()
+
+
+def test_keys_past_int64():
+    """When degree**len(base) overflows int64 the keys are Python
+    integers and lookups still work: C_2^17 on 34 points."""
+    gens = [perm_from_cycles(34, [(2 * i, 2 * i + 1)]) for i in range(17)]
+    G = Group(34, gens)
+    S = G.store()
+    assert S.keys.dtype == object
+    els = G.element_list()
+    sample = random.Random(8).sample(els, 50)
+    assert S.lookup(S.key(S.base_images(sample))).tolist() == [els.index(x) for x in sample]
 
 
 def test_quotient_by():
