@@ -8,7 +8,14 @@ keys, ids) and the lazily derived generators of each subgroup all live in
 read G's base columns only: ``centralizer`` compares g(h(b)) with h(g(b)),
 ``normalizer`` forms g h g^-1 at the base and looks its key up among H's
 keys, and ``sylow`` computes the orders of a normalizer's elements
-together, iterating g over the base points.
+together, iterating g over the base points.  Their results are cut from
+G's store by id.
+
+Conjugation sweeps run on ids: :func:`id_orbit` walks the orbit of a
+sorted id array (an element or a subgroup) under G's conjugation tables,
+one frontier at a time, and ``conjugacy_class`` uses it on groups of order
+at least KEYED_MIN_ORDER.  ``subgroups_of_p_group`` builds the subgroup
+lattice of P over P's multiplication table of ids.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ def _generator_rows(G: Group, H: Group) -> np.ndarray:
 
 
 def _filtered(G: Group, mask: np.ndarray) -> Group:
-    return Group.from_element_set(G.degree, list(itertools.compress(G.element_list(), mask.tolist())))
+    return G.subgroup_of_ids(np.flatnonzero(mask))
 
 
 def centralizer(G: Group, H: Group) -> Group:
@@ -80,7 +87,37 @@ def _with_inverses(G: Group) -> list[tuple[Perm, Perm]]:
 
 
 def conjugacy_class(G: Group, x: Perm) -> set[Perm]:
-    return set(orbit(x, _with_inverses(G), lambda gg, y: gg[0] * y * gg[1]))
+    """The class of x in G.  On a group of order at least KEYED_MIN_ORDER
+    it is an orbit of ids under G's conjugation tables, one frontier at a
+    time; on a smaller one, an orbit of permutations."""
+    if G.order() < KEYED_MIN_ORDER:
+        return set(orbit(x, _with_inverses(G), lambda gg, y: gg[0] * y * gg[1]))
+    ids = G.store().ids_of([x])
+    keys = id_orbit(ids, G.conjugation_tables())
+    els = G.element_list()
+    return {els[i] for i in np.frombuffer(b"".join(keys), dtype=ids.dtype).tolist()}
+
+
+def id_orbit(ids: np.ndarray, tables: Sequence[np.ndarray]) -> set[bytes]:
+    """The orbit of a sorted id array (an element, or a subgroup) under
+    conjugation by the generators whose tables are given, as the bytes of
+    each sorted id array in it.  The walk is breadth-first, and a
+    frontier's rows are conjugated together, ``np.sort(t[rows], axis=1)``."""
+    ids = np.asarray(ids)
+    seen = {ids.tobytes()}
+    frontier = ids[None]
+    width = ids.nbytes
+    while len(frontier) and tables:
+        images = np.sort(np.concatenate([t[frontier] for t in tables]), axis=1)
+        raw = images.tobytes()
+        new = []
+        for j in range(len(images)):
+            key = raw[j * width : (j + 1) * width]
+            if key not in seen:
+                seen.add(key)
+                new.append(j)
+        frontier = images[new]
+    return seen
 
 
 def normal_closure(G: Group, gens: Sequence[Perm], cap: Optional[int] = None) -> Optional[Group]:
@@ -169,7 +206,7 @@ def _with_orders(G: Group, xs: Sequence[Perm]) -> Iterable[tuple[Perm, int]]:
     if G.order() < KEYED_MIN_ORDER:
         return ((x, x.order()) for x in xs)
     S = G.store()
-    return zip(xs, S.orders(S.lookup(S.key(S.base_images(xs)))).tolist())
+    return zip(xs, S.orders(S.ids_of(xs)).tolist())
 
 
 def sylow(G: Group, p: int) -> Group:
@@ -223,41 +260,48 @@ def omega1(P: Group, p: int) -> Group:
 
 def subgroups_of_p_group(P: Group, p: int) -> list[Group]:
     """All subgroups of a p-group, built layer by layer: each subgroup of
-    order p^(k+1) is a union of p cosets of a maximal subgroup."""
+    order p^(k+1) is the union of the cosets a x^j (0 <= j < p) of a
+    subgroup a of order p^k, for an x outside a that normalizes it and has
+    x^p in a.  The elements are numbered in sorted order and the layers are
+    built over P's multiplication table of those numbers, one layer's
+    subgroups together as the rows of an array, so each layer is listed in
+    the order of its subgroups' sorted element lists."""
     if not is_p_group(P, p):
         raise NotPGroup(f"group of order {P.order()} is not a {p}-group")
-    pset = P.element_set()
-    abelian = is_abelian(P)
-    ppow = {x: x**p for x in pset}
-    trivial = frozenset([P.identity()])
-    layers: list[set[frozenset[Perm]]] = [{trivial}]
-    out: list[frozenset[Perm]] = [trivial]
-    while layers[-1]:
-        nxt: set[frozenset[Perm]] = set()
-        for a in layers[-1]:
-            # any x inside an extension of a already built generates that
-            # same extension, so track the union of extensions found so far
-            covered: set[Perm] = set(a)
-            for x in pset:
-                if x in covered:
-                    continue
-                # x must normalize a and have x^p in a to extend by index p
-                if ppow[x] not in a:
-                    continue
-                if not abelian:
-                    xinv = x.inv()
-                    if any(x * g * xinv not in a for g in a):
-                        continue
-                b = set(a)
-                cur = x
-                for _ in range(p - 1):
-                    b.update(g * cur for g in a)
-                    cur = cur * x
-                covered |= b
-                nxt.add(frozenset(b))
-        layers.append(nxt)
-        out.extend(sorted(nxt, key=lambda s: sorted(s)))
-    return [Group.from_element_set(P.degree, s) for s in out]
+    S = P.store()
+    srt = S.ids_of(sorted(P.element_set()))  # number i is the id srt[i]
+    n = len(srt)
+    number = np.empty(n, dtype=np.intp)
+    number[srt] = np.arange(n)
+    mul = number[S.mul(srt[:, None], srt)]  # mul[x, y]: the number of x y
+    inv = (mul == 0).argmax(axis=1)  # 0 is the identity, the least permutation
+    conj = mul[mul, inv[:, None]]  # conj[x, g]: the number of x g x^-1
+    xp = np.arange(n)
+    for _ in range(p - 1):
+        xp = mul[xp, np.arange(n)]
+    layer = np.zeros((1, 1), dtype=np.intp)
+    out = [layer]
+    while len(layer):
+        rows = np.arange(len(layer))[:, None]
+        inside = np.zeros((len(layer), n), dtype=bool)
+        inside[rows, layer] = True
+        normalizes = inside[rows[:, :, None], conj[:, layer].transpose(1, 0, 2)].all(axis=2)
+        extends = ~inside & inside[rows, xp] & normalizes
+        nxt: set[tuple[int, ...]] = set()
+        # any x inside an extension of a already built generates that same
+        # extension, so skip the union of a's extensions found so far
+        for i, x in zip(*np.nonzero(extends)):
+            if inside[i, x]:
+                continue
+            powers = [0]
+            for _ in range(p - 1):
+                powers.append(mul[powers[-1], x])
+            b = np.sort(mul[layer[i][:, None], powers], axis=None)
+            inside[i, b] = True
+            nxt.add(tuple(b.tolist()))
+        layer = np.array(sorted(nxt), dtype=np.intp).reshape(len(nxt), p * layer.shape[1])
+        out.append(layer)
+    return [P.subgroup_of_ids(srt[a]) for layer in out for a in layer]
 
 
 # -- derived structure and predicates ----------------------------------

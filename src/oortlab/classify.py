@@ -8,6 +8,14 @@ subgroups outright; the criterion route decides from the Sylow p-subgroup
 and a handful of normalizer/centralizer conditions.  The two routes are
 independent implementations and the batch harness cross-checks them.
 
+The definition route runs on element ids of G's store: the subgroups of
+P and their G-classes are sorted id arrays conjugated through G's tables,
+the coset walk over N_G(Q) forms the products q t and the powers of t
+over the base columns for all t at once, and ``shape_of`` reads element
+orders from the store.  Permutations are read back, as G's own element
+objects, only for the candidate groups it yields, whose generators the
+witnesses print.
+
 The criterion, the structure reports and the claim audit share one
 :class:`Context` per (G, p), holding P, the p'-core, the criterion
 verdict, the p-local subgroups they all read (the cyclic chain under a
@@ -23,6 +31,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .analysis import (
     center,
     centralizer,
@@ -30,6 +40,7 @@ from .analysis import (
     derived_subgroup,
     factor_action,
     fixed_space_dim,
+    id_orbit,
     is_abelian,
     is_nilpotent,
     is_simple,
@@ -43,7 +54,7 @@ from .analysis import (
 )
 from .errors import PreconditionFailed
 from .gf import MAX_Q, factorize, is_prime
-from .perm import Group, Perm, mulclose, orbit, quotient_by
+from .perm import Group, Perm, mulclose, quotient_by
 
 
 # -- shapes -------------------------------------------------------------
@@ -72,32 +83,22 @@ class ShapeVerdict:
 
 
 def shape_of(H: Group) -> ShapeVerdict:
-    """Classify H as Cyclic(n), Dihedral(n), A4, or Other.
+    """Classify H as Cyclic(n), Dihedral(n), A4, or Other from the orders
+    of its elements.
 
-    Dihedral(n = 2m) means a cyclic normal subgroup of order m inverted by
-    an involution outside it; index 2 makes normality automatic.  A4 is
-    the unique group of order 12 without an element of order 6.
+    Dihedral(n = 2m), m >= 2, means an element x of order m and m + [m
+    even] involutions: then every element outside <x> is an involution, so
+    each inverts x, and conversely.  A4 is the unique group of order 12
+    without an element of order 6 among those that are neither cyclic nor
+    dihedral.
     """
     n = H.order()
-    els = H.element_list()
-    orders = [x.order() for x in els]
+    orders = H.element_orders()
     if n in orders:
         return ShapeVerdict("Cyclic", n)
-    if n >= 4 and n % 2 == 0:
-        m = n // 2
-        invs = [x for x, o in zip(els, orders) if o == 2]
-        for x, o in zip(els, orders):
-            if o != m:
-                continue
-            powers = set()
-            cur = H.identity()
-            for _ in range(m):
-                powers.add(cur)
-                cur = cur * x
-            xinv = x.inv()
-            for y in invs:
-                if y not in powers and y * x * y == xinv:
-                    return ShapeVerdict("Dihedral", n)
+    m = n // 2
+    if n >= 4 and n % 2 == 0 and m in orders and orders.count(2) == m + (m % 2 == 0):
+        return ShapeVerdict("Dihedral", n)
     if n == 12 and 6 not in orders:
         return ShapeVerdict("A4", 12)
     return ShapeVerdict("Other", n)
@@ -137,65 +138,78 @@ def is_cyclic_by_p(H: Group, p: int) -> tuple[bool, Optional[tuple[Group, int]]]
 
 def _sylow_subgroup_classes(G: Group, p: int) -> tuple[Group, list[Group]]:
     """One fixed Sylow p-subgroup P plus one representative per
-    G-conjugacy class of subgroups of P.
+    G-conjugacy class of subgroups of P: the first of its class in the
+    order of :func:`subgroups_of_p_group`.
 
     Conjugate Q give conjugate families <Q, t>, so class representatives
-    keep the stream conjugacy-representative-complete.
+    keep the stream conjugacy-representative-complete.  Each class is an
+    orbit of sorted id arrays under G's conjugation tables.
     """
     P = sylow(G, p)
-    subs = subgroups_of_p_group(P, p) if not P.is_trivial() else [P]
-    gens = G.small_generators()
-    seen: set[frozenset[Perm]] = set()
+    if P.is_trivial():
+        return P, [P]
+    subs = subgroups_of_p_group(P, p)
+    S = G.store()
+    tables = G.conjugation_tables()
+    seen: set[bytes] = set()
     reps = []
     for Q in subs:
-        key = Q.element_set()
-        if key in seen:
+        ids = np.sort(S.ids_of(Q.element_set()))
+        if ids.tobytes() in seen:
             continue
         reps.append(Q)
-        seen.update(orbit(key, gens, _conjugate_all))
+        seen |= id_orbit(ids, tables)
     return P, reps
 
 
-def _conjugate_all(g: Perm, xs):
-    """g xs g^-1 element by element, in the container type of xs."""
-    ginv = g.inv()
-    return type(xs)(g * x * ginv for x in xs)
-
-
 def _cyclic_by_p_stream(G: Group, p: int, skip_trivial_q: bool) -> Iterator[Group]:
-    """Candidates <Q, t> for Q a p-subgroup class rep and t in N_G(Q).
+    """Candidates <Q, t> for Q a p-subgroup class rep and t in N = N_G(Q).
 
     Since t normalizes Q, <Q, t> is the union of the cosets Q t^k, and it
-    is cyclic-by-p exactly when its p-part equals |Q| (Q is then the
-    normal Sylow p-subgroup and the quotient is generated by the image of
-    t).  With skip_trivial_q the Q = 1 family (all p'-cyclic subgroups,
-    always of allowed shape) is omitted.
+    is cyclic-by-p exactly when the order m of Qt in N/Q is prime to p (Q
+    is then the normal Sylow p-subgroup and the quotient is generated by
+    the image of t).  The walk runs over N's ids, in N's element order:
+    each coset Qt is labelled by its first element (its head), every head
+    t is tried in turn, and <Q, t> is emitted unless an earlier head gave
+    the same cosets.  The labels and the powers of all heads are computed
+    together for each Q.  With skip_trivial_q the Q = 1 family (all
+    p'-cyclic subgroups, always of allowed shape) is omitted.
     """
     P, reps = _sylow_subgroup_classes(G, p)
-    emitted: set[frozenset[Perm]] = set()
     for Q in reps:
         if skip_trivial_q and Q.is_trivial():
             continue
-        qset = Q.element_set()
-        qn = len(qset)
         N = G if Q.is_trivial() else normalizer(G, Q)
-        seen_cosets: set[Perm] = set()
-        for t in N.element_list():
-            if t in seen_cosets:
+        S = N.store()
+        n = N.order()
+        q = S.ids_of(Q.element_set())
+        t = np.arange(n)
+        head = t.copy()  # head[t]: the least id of the coset Qt
+        step = max(1, (1 << 18) // n)  # about 2^18 products at a time bound the memory
+        for i in range(0, len(q), step):
+            head = np.minimum(head, S.mul(q[i : i + step, None], t).min(axis=0))
+        heads = np.flatnonzero(head == t)
+        # powers[k - 1][j] is the head of the coset of heads[j]^k, until Q recurs
+        q_head = int(head[q[0]])
+        powers = [heads]
+        done = heads == q_head
+        cur = heads
+        while not done.all():
+            cur = S.mul(cur, heads)
+            powers.append(head[cur])
+            done |= powers[-1] == q_head
+        emitted: set[frozenset[int]] = set()
+        for row in np.array(powers).T.tolist():
+            m = row.index(q_head) + 1  # the order of Qt in N/Q
+            if m % p == 0:
                 continue
-            seen_cosets.update(q * t for q in qset)
-            hels = set(qset)
-            cur = t
-            while cur not in hels:
-                hels.update(q * cur for q in qset)
-                cur = cur * t
-            if p_part(len(hels), {p}) != qn:
-                continue
-            key = frozenset(hels)
+            key = frozenset(row[:m])
             if key in emitted:
                 continue
             emitted.add(key)
-            yield Group.from_element_set(G.degree, hels)
+            cosets = np.zeros(n, dtype=bool)
+            cosets[row[:m]] = True
+            yield N.subgroup_of_ids(np.flatnonzero(cosets[head]))
 
 
 def cyclic_by_p_subgroups(G: Group, p: int) -> Iterator[Group]:
@@ -703,12 +717,15 @@ def _check_basic1(ctx: Context) -> bool:
         if CQ.element_set() != CP.element_set() or NQ.element_set() != NP.element_set():
             return False
     # every cyclic-by-p subgroup of order divisible by p is conjugate
-    # into N_G(P); the orbit is walked only up to the first such conjugate
-    npset = NP.element_set()
-    gens = G.small_generators()
+    # into N_G(P)
+    S = G.store()
+    in_np = np.zeros(G.order(), dtype=bool)
+    in_np[S.ids_of(NP.element_set())] = True
+    tables = G.conjugation_tables()
     for H in _cyclic_by_p_stream(G, p, skip_trivial_q=True):
-        conjugates = orbit(H.generators, gens, _conjugate_all)
-        if not any(all(h in npset for h in c) for c in conjugates):
+        ids = np.sort(S.ids_of(H.element_set()))
+        conjugates = np.frombuffer(b"".join(id_orbit(ids, tables)), dtype=ids.dtype)
+        if not in_np[conjugates.reshape(-1, len(ids))].all(axis=1).any():
             return False
     return True
 

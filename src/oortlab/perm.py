@@ -12,17 +12,27 @@ its element set computes its generators and chain only when they are
 read, and its chain is the one its generator sift built.
 
 The store holds one numpy image row per element (its id is the row) and
-an int64 key per element, sum g[b_i] * degree**i over the chain's base
-points b_i; the keys are sorted and ids are found with ``searchsorted``.
-A group of order at least KEYED_MIN_ORDER is enumerated through it: the
-rows are the products of the chain's transversals, and a breadth-first
-walk over one left-multiplication id table per generator orders them as
+an int64 key per element, sum g[b_i] * degree**i over the points b_i of a
+base (the chain's, where the group has one); the keys are sorted and ids
+are found with ``searchsorted``.  A group of order at least
+KEYED_MIN_ORDER is enumerated through it: the rows are the products of
+the chain's transversals, and a breadth-first walk over one
+left-multiplication id table per generator orders them as
 :func:`mulclose` would.  Filters that read only base columns (keyed
-membership, commutation and element orders) then cost O(|G| * |base|)
-instead of O(|G| * degree).
+membership, products, commutation and element orders) then cost
+O(|G| * |base|) instead of O(|G| * degree).
+
+Subgroups are held as id arrays.  ``ElementStore.mul`` gives the ids of
+products, and each group builds, on first use, one conjugation table per
+small generator (the id of g x g^-1 for every x), so conjugating a
+subgroup is ``np.sort(table[ids])``.  :meth:`Group.subgroup_of_ids` turns
+an id array back into a group whose store is a slice of the parent's,
+keyed at the parent's base, so no permutation is rebuilt; permutations
+remain at the edges: constructors, generators and witnesses.
 
 :func:`mulclose` is the one closure routine on permutations and
-:func:`orbit` the one orbit routine.
+:func:`orbit` the one orbit routine on them (orbits of id arrays under
+the conjugation tables are ``analysis.id_orbit``).
 
 Every product goes through ``Perm.__mul__``, one ``itemgetter`` call.
 The identity of each degree is one shared object, so ``is_identity`` is a
@@ -39,7 +49,7 @@ import math
 import os
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -297,10 +307,11 @@ class ElementStore:
     """The integer form of an enumerated group G.
 
     ``E`` holds one image row per element, in ``G.element_list()`` order;
-    an element's id is its row.  ``base`` holds the base points of G's
-    chain, and the key of g is the number sum g[b_i] * degree**i formed
-    from its base images.  Only the identity of G fixes every base point,
-    so the key determines an element of G, and membership of an element of
+    an element's id is its row.  ``base`` holds the points of a base of G
+    (its chain's, or that of the group a subgroup was cut from), and the
+    key of g is the number sum g[b_i] * degree**i formed from its base
+    images.  Only the identity of G fixes every base point, so the key
+    determines an element of G, and membership of an element of
     G in a subgroup H is a key lookup among H's keys at this base.  Keys
     are int64 unless degree**len(base) overflows it, in which case they
     are Python integers.  ``lookup`` finds ids with ``searchsorted`` in
@@ -323,7 +334,7 @@ class ElementStore:
         """Keys of the elements whose base images run along the last axis."""
         return images @ self.radix
 
-    def base_images(self, els: Sequence[Perm]) -> np.ndarray:
+    def base_images(self, els: Collection[Perm]) -> np.ndarray:
         """The base images of the given permutations, one row each."""
         base = self.base.tolist()
         flat = np.fromiter((x[b] for x in els for b in base), np.int32, count=len(els) * len(base))
@@ -338,9 +349,24 @@ class ElementStore:
         return self.ids[np.searchsorted(self.keys, keys)]
 
     def orders(self, ids: np.ndarray) -> np.ndarray:
-        """Orders of the elements with the given ids: g^k(b) = g(g^(k-1)(b))
-        over the base columns only, and the order of g is the first k at
-        which g^k fixes every base point."""
+        """Orders of the elements with the given ids.  Only the identity
+        fixes every base point, so the order of g is the lcm of the lengths
+        of its cycles through the base points.  Fewer than KEYED_MIN_ORDER
+        elements are walked one at a time; more are iterated together,
+        g^k(b) = g(g^(k-1)(b)) over the base columns, until g^k fixes every
+        base point."""
+        if len(ids) < KEYED_MIN_ORDER:
+            base = self.base.tolist()
+            out = []
+            for row in self.E[ids].tolist():
+                n = 1
+                for b in base:
+                    k, x = 1, row[b]
+                    while x != b:
+                        k, x = k + 1, row[x]
+                    n = math.lcm(n, k)
+                out.append(n)
+            return np.array(out, dtype=np.int64)
         orders = np.zeros(len(ids), dtype=np.int64)
         todo = np.arange(len(ids))
         cur = self.E[ids[:, None], self.base]
@@ -358,6 +384,29 @@ class ElementStore:
         if self._inverse_base is None:
             self._inverse_base = (self.E[:, :, None] == self.base).argmax(axis=1)
         return self._inverse_base
+
+    def restricted(self, ids: Sequence[int]) -> "ElementStore":
+        """The store of the subgroup whose elements have the given ids, in
+        that order, keyed at this store's base."""
+        S = ElementStore.__new__(ElementStore)
+        S.E, S.base, S.radix = self.E[ids], self.base, self.radix
+        S.keys = S.ids = S._inverse_base = None
+        return S
+
+    def ids_of(self, els: Collection[Perm]) -> np.ndarray:
+        """Ids of the given elements of G."""
+        return self.lookup(self.key(self.base_images(els)))
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Ids of the products a * b, elementwise with broadcasting: the
+        base images of a * b are a(b(c)) at the base points c."""
+        return self.lookup(self.key(self.E[a[..., None], self.E[b[..., None], self.base]]))
+
+    def conjugation_table(self, g: Perm) -> np.ndarray:
+        """The id of g x g^-1 for every id x, from its base images
+        g(x(g^-1(c)))."""
+        g_row = np.array(g, dtype=np.int32)
+        return self.lookup(self.key(g_row[self.E[:, np.argsort(g_row)[self.base]]]))
 
 
 def _enumerate(chain: StabilizerChain, gens: Sequence[Perm]) -> ElementStore:
@@ -426,6 +475,7 @@ class Group:
         self._element_set: Optional[frozenset[Perm]] = None
         self._store: Optional[ElementStore] = None
         self._small_generators: Optional[tuple[Perm, ...]] = None
+        self._conjugation_tables: Optional[list[np.ndarray]] = None
 
     def __repr__(self) -> str:
         return f"Group(degree={self.degree}, ngens={len(self.generators)}, order={self.order()})"
@@ -501,14 +551,23 @@ class Group:
 
     def store(self) -> "ElementStore":
         """The integer form of the element list (see :class:`ElementStore`),
-        keyed at the base of this group's chain."""
+        keyed at the base of this group's chain, or for a group built from
+        its element set and not yet sifted, at a base read off its elements;
+        a subgroup cut from ids is keyed at the base of the group it was cut
+        from."""
         if self._store is None:
             els = self.element_list()
             if self._store is None:  # not enumerated through the store
                 n, d = len(els), self.degree
                 E = np.fromiter(itertools.chain.from_iterable(els), np.int32, count=n * d)
-                self._store = ElementStore(E.reshape(n, d), [lv.base for lv in self.chain.levels])
+                base = _base_of(els) if self._chain is None else [lv.base for lv in self._chain.levels]
+                self._store = ElementStore(E.reshape(n, d), base)
         return self._store
+
+    def element_orders(self) -> list[int]:
+        """The order of each element, in element-list order, from the
+        store's base columns (:meth:`ElementStore.orders`)."""
+        return self.store().orders(np.arange(self.order())).tolist()
 
     def small_generators(self) -> tuple[Perm, ...]:
         """A small generating set for conjugation sweeps (constructors often
@@ -519,6 +578,14 @@ class Group:
             chain = StabilizerChain(self.degree, [])  # a scratch chain: G keeps its own
             self._small_generators = _sift_generators(chain, sorted(self.element_set()))
         return self._small_generators
+
+    def conjugation_tables(self) -> list[np.ndarray]:
+        """One id table per small generator g, whose entry x is the id of
+        g x g^-1: conjugating a subgroup held as ids is ``np.sort(t[ids])``."""
+        if self._conjugation_tables is None:
+            S = self.store()
+            self._conjugation_tables = [S.conjugation_table(g) for g in self.small_generators()]
+        return self._conjugation_tables
 
     @classmethod
     def from_element_set(cls, degree: int, els: Iterable[Perm]) -> "Group":
@@ -533,6 +600,23 @@ class Group:
         G._element_list = sorted(G._element_set)
         G._order = len(G._element_set)
         return G
+
+    def subgroup_of_ids(self, ids: Iterable[int]) -> "Group":
+        """The subgroup whose elements have the given ids, which must be
+        closed under products.  Like a group from :meth:`from_element_set`
+        it lists its elements sorted and sifts its generators from that
+        list when they are read; its store takes its rows from this
+        group's store, keyed at this group's base."""
+        S = self.store()
+        els = self._element_list
+        ids = sorted(np.asarray(ids).tolist(), key=els.__getitem__)
+        H = Group(self.degree, (), check=False)
+        H._generators = None
+        H._element_list = [els[i] for i in ids]
+        H._element_set = frozenset(H._element_list)
+        H._order = len(ids)
+        H._store = S.restricted(ids)
+        return H
 
     def subgroup(self, gens: Sequence[Perm]) -> "Group":
         """Subgroup generated by gens, checked for membership."""
@@ -553,6 +637,20 @@ class Group:
         rng = random.Random(seed)
         els = self.element_list()
         return [els[rng.randrange(len(els))] for _ in range(k)]
+
+
+def _base_of(els: Sequence[Perm]) -> list[int]:
+    """Points that no element of els but the identity fixes all of: the
+    least point moved by the first element that fixes every point chosen
+    so far, until none is left."""
+    base: list[int] = []
+    rest = [g for g in els if not g.is_identity()]
+    while rest:
+        g = rest[0]
+        b = next(i for i, x in enumerate(g) if x != i)
+        base.append(b)
+        rest = [h for h in rest if h[b] == b]
+    return base
 
 
 def _sift_generators(chain: StabilizerChain, els: Sequence[Perm]) -> tuple[Perm, ...]:

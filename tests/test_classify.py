@@ -1,15 +1,28 @@
 """Shape classification, both verdict routes, reports, and audits."""
 
+import random
+
 import pytest
 
-from oortlab.analysis import center, centralizer, normalizer, o_p_prime, sylow
+from oortlab.analysis import (
+    center,
+    centralizer,
+    conjugacy_class,
+    is_abelian,
+    normalizer,
+    o_p_prime,
+    p_part,
+    sylow,
+)
 from oortlab.classify import (
     Context,
     OortVerdict,
     ShapeVerdict,
     Witness,
     _check_nontrivial_center_2,
+    _cyclic_by_p_stream,
     _identify_quotient,
+    _sylow_subgroup_classes,
     allowed_shape,
     cyclic_by_p_subgroups,
     even_structure_report,
@@ -20,9 +33,10 @@ from oortlab.classify import (
     shape_of,
     theorem_audit,
 )
+from oortlab.cli import bundled_manifest_text, parse_manifest
 from oortlab.construct import alternating, build_group, pgl2, psl2, psl3_4, symmetric
 from oortlab.errors import PreconditionFailed
-from oortlab.perm import Group, perm_from_cycles
+from oortlab.perm import KEYED_MIN_ORDER, Group, mulclose, orbit, perm_from_cycles
 
 
 def dicyclic12():
@@ -342,3 +356,166 @@ def test_audit_negative_group_all_na_or_honest():
     m = audit_map("Q:8", 2)
     assert m["nontrivial-center-2"] == "not-applicable"
     assert m["restrictions-trivial-center-1"] == "not-applicable"
+
+
+# -- the definition route on ids against the permutation route -----------
+#
+# The reference below is the definition route as it ran on permutation
+# tuples before it moved onto element ids: the subgroup lattice of P, the
+# class representatives as orbits of element sets and the coset walk with
+# Perm products.  The id route must give the same representatives and the
+# same candidates, in the same order, since the first candidate of each
+# failing (kind, order) is the printed witness.
+
+
+def _ref_subgroups_of_p_group(P, p):
+    pset = P.element_set()
+    abelian = is_abelian(P)
+    ppow = {x: x**p for x in pset}
+    trivial = frozenset([P.identity()])
+    layers = [{trivial}]
+    out = [trivial]
+    while layers[-1]:
+        nxt = set()
+        for a in layers[-1]:
+            covered = set(a)
+            for x in pset:
+                if x in covered or ppow[x] not in a:
+                    continue
+                if not abelian:
+                    xinv = x.inv()
+                    if any(x * g * xinv not in a for g in a):
+                        continue
+                b = set(a)
+                cur = x
+                for _ in range(p - 1):
+                    b.update(g * cur for g in a)
+                    cur = cur * x
+                covered |= b
+                nxt.add(frozenset(b))
+        layers.append(nxt)
+        out.extend(sorted(nxt, key=lambda s: sorted(s)))
+    return out
+
+
+def _ref_conjugate_all(g, xs):
+    ginv = g.inv()
+    return type(xs)(g * x * ginv for x in xs)
+
+
+def _ref_class_reps(G, p):
+    P = sylow(G, p)
+    subs = _ref_subgroups_of_p_group(P, p) if not P.is_trivial() else [P.element_set()]
+    gens = G.small_generators()
+    seen, reps = set(), []
+    for key in subs:
+        if key in seen:
+            continue
+        reps.append(key)
+        seen.update(orbit(key, gens, _ref_conjugate_all))
+    return reps
+
+
+def _ref_stream(G, p, skip_trivial_q):
+    emitted = set()
+    for qset in _ref_class_reps(G, p):
+        if skip_trivial_q and len(qset) == 1:
+            continue
+        qn = len(qset)
+        N = G if qn == 1 else normalizer(G, Group.from_element_set(G.degree, qset))
+        seen_cosets = set()
+        for t in N.element_list():
+            if t in seen_cosets:
+                continue
+            seen_cosets.update(q * t for q in qset)
+            hels = set(qset)
+            cur = t
+            while cur not in hels:
+                hels.update(q * cur for q in qset)
+                cur = cur * t
+            if p_part(len(hels), {p}) != qn:
+                continue
+            key = frozenset(hels)
+            if key not in emitted:
+                emitted.add(key)
+                yield key
+
+
+def _ref_shape_label(H):
+    """The shape label from Perm.order and Perm products alone."""
+    els = H.element_list()
+    n = len(els)
+    orders = [x.order() for x in els]
+    if n in orders:
+        return f"C{n}"
+    if n >= 4 and n % 2 == 0:
+        for x, o in zip(els, orders):
+            if o != n // 2:
+                continue
+            powers = set(mulclose([x]))
+            xinv = x.inv()
+            if any(o2 == 2 and y not in powers and y * x * y == xinv for y, o2 in zip(els, orders)):
+                return f"D{n}"
+    if n == 12 and 6 not in orders:
+        return "A4"
+    return f"Other({n})"
+
+
+def _assert_matches_reference(G, p, skip_trivial_q=True):
+    _, reps = _sylow_subgroup_classes(G, p)
+    assert [Q.element_set() for Q in reps] == _ref_class_reps(G, p)
+    got = list(_cyclic_by_p_stream(G, p, skip_trivial_q))
+    assert [H.element_set() for H in got] == list(_ref_stream(G, p, skip_trivial_q))
+    for H in got:
+        assert H.element_list() == sorted(H.element_set())
+        assert shape_of(H).label == _ref_shape_label(H)
+
+
+CATALOGUE_PRIMES = {
+    spec: primes
+    for spec, primes, _ in parse_manifest(bundled_manifest_text())
+    if spec in ("D:64", "INV:15:8:klein", "INV:9:16:klein", "S:6", "A:7", "PGL2:9")
+}
+
+
+@pytest.mark.parametrize(
+    "spec,p", [(s, p) for s, primes in CATALOGUE_PRIMES.items() for p in primes]
+)
+def test_id_route_matches_perm_reference_on_catalogue(spec, p):
+    _assert_matches_reference(build_group(spec), p)
+
+
+def test_reference_groups_lie_on_both_sides_of_the_size_rule():
+    orders = [build_group(spec).order() for spec in CATALOGUE_PRIMES]
+    assert len(orders) == 6 and min(orders) < KEYED_MIN_ORDER <= max(orders)
+
+
+@pytest.mark.parametrize("spec", ["A:7", "PGL2:9", "INV:15:16:klein", "DELPERM:5:S4"])
+def test_id_route_matches_perm_reference_on_random_subgroups(spec):
+    G = build_group(spec)
+    rng = random.Random(7)
+    for k in (1, 2, 2, 3):  # orders 4 to 3000 over the four groups
+        H = Group(G.degree, G.random_elements(k, seed=rng.randrange(1 << 30)))
+        for p in (2, 3, 5, 7):
+            _assert_matches_reference(H, p, skip_trivial_q=H.order() > 400)
+
+
+def test_cyclic_by_p_subgroups_of_a_large_group_match_the_reference():
+    # the Q = 1 family walks G itself, in its breadth-first element order
+    _assert_matches_reference(build_group("PGL2:7"), 7, skip_trivial_q=False)
+
+
+@pytest.mark.parametrize("spec", ["D:12", "Q:16", "A:4", "S:5", "PGL2:9", "INV:15:8:klein", "PROD:(C:2)x(C:2)"])
+def test_shape_of_matches_a_brute_force_label(spec):
+    G = build_group(spec)
+    assert shape_of(G).label == _ref_shape_label(G)
+    for p in (2, 3):
+        P = sylow(G, p)
+        assert shape_of(P).label == _ref_shape_label(P)
+
+
+@pytest.mark.parametrize("spec", ["S:4", "S:5", "INV:15:8:klein", "PSL2:13", "DELPERM:5:A4"])
+def test_conjugacy_class_matches_a_perm_orbit(spec):
+    G = build_group(spec)
+    for x in G.element_list()[:12]:
+        assert conjugacy_class(G, x) == {g * x * g.inv() for g in G.element_list()}

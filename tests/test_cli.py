@@ -53,6 +53,37 @@ def test_construct_bad_spec(capsys):
     assert "error" in err
 
 
+# -- the parser -----------------------------------------------------------
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in (("check", "C:4", "--p", "2"), ("construct", "S:3"), ("audit", "S:4", "--p", "3")):
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+    assert len(built) == 1
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    code, out, _ = run(capsys, "check", "S:4", "--p", "3", "--table")
+    assert code == EXIT_OK and out.startswith("S:4  order=24")
+    with pytest.raises(SystemExit):
+        main(["check", "S:4", "--route", "crit"])  # no --p
+    capsys.readouterr()
+    code, out, _ = run(capsys, "check", "S:4", "--p", "3")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["route"] == "both" and doc["is_o_group"] is True
+
+
 # -- check --------------------------------------------------------------
 
 

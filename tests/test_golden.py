@@ -11,7 +11,13 @@ the reports and the claim audit shared one ``classify.Context``, and
 before enumeration and the Sylow, normalizer and centralizer filters moved
 onto the integer element store: their witnesses depend on the Sylow
 subgroup picked from the breadth-first element order of a group of order
-720 or more.  ``timing_ms`` varies from run to run and is left out.
+720 or more.  ``check`` of A:7/2, INV:9:16:klein/2, INV:15:8:klein/2,
+Q:32/2 and PSL2:8/2 (both routes) was recorded before the definition
+route moved onto element ids: negatives whose witnesses come from the
+first candidate of each failing shape in the order of the class
+representatives and of the coset walk, on groups of order 32 to 2520, on
+both sides of the store's size rule.  ``timing_ms`` varies from run to run
+and is left out.
 """
 
 import json
