@@ -7,29 +7,28 @@ keys, ids) and the lazily derived generators of each subgroup all live in
 :class:`~oortlab.perm.Group`.  The three filters on the criterion's path
 read G's base columns only: ``centralizer`` compares g(h(b)) with h(g(b)),
 ``normalizer`` forms g h g^-1 at the base and looks its key up among H's
-keys, and ``sylow`` computes the orders of a normalizer's elements
-together, iterating g over the base points.  Their results are cut from
-G's store by id.
+keys, and ``sylow`` reads the orders of a normalizer's elements from its
+own store.  Their results are cut from G's store by id.
 
-Conjugation sweeps run on ids: :func:`id_orbit` walks the orbit of a
-sorted id array (an element or a subgroup) under G's conjugation tables,
-one frontier at a time, and ``conjugacy_class`` uses it on groups of order
-at least KEYED_MIN_ORDER.  ``subgroups_of_p_group`` builds the subgroup
-lattice of P over P's multiplication table of ids.
+Conjugacy classes are read off G's class labels (``Group.class_labels``):
+``conjugacy_class``, and the scans of ``o_pi``, ``minimal_normal_subgroups``
+and ``chief_series_within`` over one element per class.  :func:`id_orbit`
+walks the orbit of a subgroup held as sorted ids under G's conjugation
+tables, and ``subgroups_of_p_group`` builds the subgroup lattice of P over
+P's multiplication table of ids.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonSubgroup, NotNormal, NotPGroup, TooLarge
+from .errors import NonMember, NonSubgroup, NotNormal, NotPGroup, TooLarge
 from .gf import factorize
-from .perm import KEYED_MIN_ORDER, Group, Perm, identity, mulclose, orbit, quotient_by
+from .perm import Group, Perm, identity, is_normal, mulclose
 
 
 # -- filters over the element store ------------------------------------
@@ -81,25 +80,27 @@ def normalizer(G: Group, H: Group) -> Group:
 # -- closures and conjugacy --------------------------------------------
 
 
-def _with_inverses(G: Group) -> list[tuple[Perm, Perm]]:
-    """(g, g^-1) for each generator of G, in generator order."""
-    return [(g, g.inv()) for g in G.generators]
-
-
 def conjugacy_class(G: Group, x: Perm) -> set[Perm]:
-    """The class of x in G.  On a group of order at least KEYED_MIN_ORDER
-    it is an orbit of ids under G's conjugation tables, one frontier at a
-    time; on a smaller one, an orbit of permutations."""
-    if G.order() < KEYED_MIN_ORDER:
-        return set(orbit(x, _with_inverses(G), lambda gg, y: gg[0] * y * gg[1]))
-    ids = G.store().ids_of([x])
-    keys = id_orbit(ids, G.conjugation_tables())
+    """The class of x in G: the elements whose class label (see
+    ``Group.class_labels``) is x's.  Raises NonMember if x is not in G."""
+    if not G.contains(x):
+        raise NonMember(f"{Perm(x).cycle_str()} not in group")
+    labels = G.class_labels()
     els = G.element_list()
-    return {els[i] for i in np.frombuffer(b"".join(keys), dtype=ids.dtype).tolist()}
+    label = labels[G.store().ids_of([x])[0]]
+    return {els[i] for i in np.flatnonzero(labels == label).tolist()}
+
+
+def _class_reps(G: Group) -> list[Perm]:
+    """The first element of each conjugacy class, in element-list order:
+    the elements that are their class's least id."""
+    labels = G.class_labels()
+    els = G.element_list()
+    return [els[i] for i in np.flatnonzero(labels == np.arange(len(labels))).tolist()]
 
 
 def id_orbit(ids: np.ndarray, tables: Sequence[np.ndarray]) -> set[bytes]:
-    """The orbit of a sorted id array (an element, or a subgroup) under
+    """The orbit of a subgroup, held as a sorted id array, under
     conjugation by the generators whose tables are given, as the bytes of
     each sorted id array in it.  The walk is breadth-first, and a
     frontier's rows are conjugated together, ``np.sort(t[rows], axis=1)``."""
@@ -126,7 +127,7 @@ def normal_closure(G: Group, gens: Sequence[Perm], cap: Optional[int] = None) ->
     work = [Perm(g) for g in gens if not Perm(g).is_identity()]
     if not work:
         return Group(G.degree, [])
-    pairs = _with_inverses(G)
+    pairs = [(g, g.inv()) for g in G.generators]
     while True:
         els = mulclose(work, cap=cap)
         if els is None:
@@ -151,33 +152,26 @@ def p_part(n: int, primes: Iterable[int]) -> int:
 
 
 def o_pi(G: Group, pi: Iterable[int]) -> Group:
-    """O_pi(G), the largest normal pi-subgroup, via the normal-closure
-    characterization: generated by all x whose normal closure is a pi-group.
-
-    Scans one representative per conjugacy class (the closure is a class
-    function) with the closure capped at the pi-part of |G|.
+    """O_pi(G), the largest normal pi-subgroup: the set of x whose normal
+    closure is a pi-group, so the join of those closures.  The closure is
+    a class function, so the scan visits one representative per class
+    (:func:`_class_reps`), with the closure capped at the pi-part of |G|.
+    The join of two normal subgroups is their product set, so each closure
+    is multiplied into the core, and a representative already in it is
+    skipped.
     """
     pi = frozenset(pi)
     cap = p_part(G.order(), pi)
     core: set[Perm] = {G.identity()}
-    core_gens: list[Perm] = []
-    decided: set[Perm] = {G.identity()}
-    for x in G.element_list():
+    for x in _class_reps(G):
         if len(core) == cap:
             break
-        if x in decided or x in core:
+        if x in core or any(p not in pi for p in factorize(x.order())):
             continue
-        if any(p not in pi for p in factorize(x.order())):
-            continue
-        decided |= conjugacy_class(G, x)
         nc = normal_closure(G, [x], cap=cap)
         if nc is None or any(p not in pi for p in factorize(nc.order())):
             continue
-        core_gens += nc.generators
-        joined = mulclose(core_gens, cap=cap)
-        if joined is None:
-            raise AssertionError("join of normal pi-subgroups exceeded the pi-part")
-        core = joined
+        core = {a * b for a in core for b in nc.element_set()}
     return Group.from_element_set(G.degree, core)
 
 
@@ -198,17 +192,6 @@ def _p_element_part(x: Perm, n: int, p: int) -> Perm:
     return x ** (n // p_part(n, {p}))
 
 
-def _with_orders(G: Group, xs: Sequence[Perm]) -> Iterable[tuple[Perm, int]]:
-    """(x, order of x) for the elements xs of G.  On a group of order at
-    least KEYED_MIN_ORDER the orders are computed together over G's base
-    columns; on a smaller one ``Perm.order`` runs lazily, so a scan that
-    stops early orders only what it has read."""
-    if G.order() < KEYED_MIN_ORDER:
-        return ((x, x.order()) for x in xs)
-    S = G.store()
-    return zip(xs, S.orders(S.ids_of(xs)).tolist())
-
-
 def sylow(G: Group, p: int) -> Group:
     """A Sylow p-subgroup, grown through normalizers: a p-subgroup that is
     not yet Sylow has p-elements in its normalizer outside itself.
@@ -216,9 +199,9 @@ def sylow(G: Group, p: int) -> Group:
     The seed is the first element of G, in element-list order, whose order
     p divides, and each new generator is the p-part of the first such
     element of the normalizer, in its sorted order, whose p-part lies
-    outside.  In a group large enough for the store, the orders of the
-    normalizer's elements are computed together, so those of order prime
-    to p cost no permutation work."""
+    outside.  The normalizer is cut from G's store by id, so its element
+    orders come from its own store slice and those of order prime to p
+    cost no permutation work."""
     target = p_part(G.order(), {p})
     if target == 1:
         return Group(G.degree, [])
@@ -231,7 +214,7 @@ def sylow(G: Group, p: int) -> Group:
     while len(els) < target:
         P = Group.from_element_set(G.degree, els)
         N = normalizer(G, P)
-        for y, n in _with_orders(G, N.element_list()):
+        for y, n in zip(N.element_list(), N.element_orders()):
             if n % p:
                 continue
             yp = _p_element_part(y, n, p)
@@ -372,15 +355,6 @@ def predicates(G: Group) -> dict[str, bool]:
     }
 
 
-def is_normal(G: Group, H: Group) -> bool:
-    hset = H.element_set()
-    for g in G.generators:
-        ginv = g.inv()
-        if any(g * h * ginv not in hset for h in H.generators):
-            return False
-    return True
-
-
 def minimal_normal_subgroups(G: Group) -> list[Group]:
     """Inclusion-minimal nontrivial normal closures of single elements.
 
@@ -389,13 +363,9 @@ def minimal_normal_subgroups(G: Group) -> list[Group]:
     """
     if G.is_trivial():
         return []
-    seen_cls: set[Perm] = {G.identity()}
     candidates: dict[frozenset[Perm], Group] = {}
     half_cap = G.order() // 2
-    for x in G.element_list():
-        if x in seen_cls:
-            continue
-        seen_cls |= conjugacy_class(G, x)
+    for x in _class_reps(G)[1:]:  # the identity's class comes first
         nc = normal_closure(G, [x], cap=half_cap)
         if nc is None:
             continue  # closure is all of G (order > |G|/2 must be |G|)
@@ -437,6 +407,7 @@ class ChiefFactor:
         return self.prime**self.rank
 
     def coset_key(self, h: Perm) -> Perm:
+        """The least element of the coset h * lower."""
         return min(h * n for n in self.lower.element_list())
 
     def coords(self, h: Perm) -> tuple[int, ...]:
@@ -454,14 +425,9 @@ def _build_chief_factor(G_degree: int, lower: Group, upper: Group) -> ChiefFacto
     ((r, d),) = fac.items()
     if n > FACTOR_CAP:
         raise TooLarge(f"factor order {n} exceeds coordinateization cap {FACTOR_CAP}")
-    nlist = lower.element_list()
-
-    def key(h: Perm) -> Perm:
-        return min(h * x for x in nlist)
-
-    zero = key(identity(G_degree))
-    coords: dict[Perm, tuple[int, ...]] = {zero: ()}
-    basis: list[Perm] = []
+    X = ChiefFactor(lower=lower, upper=upper, prime=r, rank=d, basis=[])
+    key = X.coset_key
+    coords: dict[Perm, tuple[int, ...]] = {key(identity(G_degree)): ()}
     for h in upper.element_list():
         if len(coords) == n:
             break
@@ -475,19 +441,19 @@ def _build_chief_factor(G_degree: int, lower: Group, upper: Group) -> ChiefFacto
             for j in range(r):
                 new_coords[key(cur)] = c + (j,)
                 cur = cur * h
-        basis.append(h)
+        X.basis.append(h)
         coords = new_coords
     if len(coords) != n:
         raise AssertionError("factor coordinateization incomplete")
-    coords = {k: tuple(c) + (0,) * (d - len(c)) for k, c in coords.items()}
+    X._coords = {k: tuple(c) + (0,) * (d - len(c)) for k, c in coords.items()}
     nset = lower.element_set()
-    for i, a in enumerate(basis):
+    for i, a in enumerate(X.basis):
         if a**r not in nset:
             raise AssertionError("basis rep power escapes the lower term")
-        for b in basis[i + 1 :]:
+        for b in X.basis[i + 1 :]:
             if a * b * a.inv() * b.inv() not in nset:
                 raise AssertionError("chief factor is not abelian")
-    return ChiefFactor(lower=lower, upper=upper, prime=r, rank=d, basis=basis, _coords=coords)
+    return X
 
 
 def chief_series_within(G: Group, R: Group) -> list[ChiefFactor]:
@@ -496,19 +462,21 @@ def chief_series_within(G: Group, R: Group) -> list[ChiefFactor]:
 
     Minimal normal subgroups of the quotient are the images of the normal
     closures <x, R_i>^G for x in R, so the scan runs directly in G instead
-    of materializing large coset actions.
+    of materializing large coset actions.  The closure depends only on the
+    G-class of x, so one representative of each class in R outside R_i is
+    tried.
     """
     if not is_normal(G, R):
         raise NotNormal("R is not normal in G")
     factors: list[ChiefFactor] = []
     current = Group(G.degree, [])
+    reps = _class_reps(G)
     while current.order() < R.order():
         candidates: dict[frozenset[Perm], Group] = {}
-        seen: set[Perm] = set(current.element_list())
-        for x in R.element_list():
-            if x in seen:
+        cset = current.element_set()
+        for x in reps:
+            if x in cset or not R.contains(x):
                 continue
-            seen |= conjugacy_class(G, x)
             nc = normal_closure(G, [x] + list(current.generators))
             assert nc is not None
             candidates.setdefault(nc.element_set(), nc)

@@ -25,14 +25,17 @@ O(|G| * |base|) instead of O(|G| * degree).
 Subgroups are held as id arrays.  ``ElementStore.mul`` gives the ids of
 products, and each group builds, on first use, one conjugation table per
 small generator (the id of g x g^-1 for every x), so conjugating a
-subgroup is ``np.sort(table[ids])``.  :meth:`Group.subgroup_of_ids` turns
-an id array back into a group whose store is a slice of the parent's,
-keyed at the parent's base, so no permutation is rebuilt; permutations
-remain at the edges: constructors, generators and witnesses.
+subgroup is ``np.sort(table[ids])``.  From those tables each group also
+builds, on first use, its class labels: for every id, the least id in
+that element's conjugacy class, which is all the class sweeps read.
+:meth:`Group.subgroup_of_ids` turns an id array back into a group whose
+store is a slice of the parent's, keyed at the parent's base, so no
+permutation is rebuilt; permutations remain at the edges: constructors,
+generators and witnesses.
 
 :func:`mulclose` is the one closure routine on permutations and
-:func:`orbit` the one orbit routine on them (orbits of id arrays under
-the conjugation tables are ``analysis.id_orbit``).
+:func:`orbit` the one orbit routine on them (orbits of subgroups held as
+id arrays under the conjugation tables are ``analysis.id_orbit``).
 
 Every product goes through ``Perm.__mul__``, one ``itemgetter`` call.
 The identity of each degree is one shared object, so ``is_identity`` is a
@@ -53,7 +56,7 @@ from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional,
 
 import numpy as np
 
-from .errors import CapExceeded, DegreeMismatch, NonMember
+from .errors import CapExceeded, DegreeMismatch, NonMember, NotNormal
 
 DEFAULT_ENUM_CAP = 250_000
 
@@ -295,11 +298,11 @@ class StabilizerChain:
         return g
 
 
-# Groups of smaller order are enumerated by mulclose, and sylow orders
-# their elements one at a time: below this size the fixed cost of the
-# store's numpy calls exceeds the Python work it saves.  Forcing either
-# path on the catalogue, the store lost on most groups of order <= 72, was
-# mixed at 80-120 and won on every group of order >= 144.
+# Groups of smaller order are enumerated by mulclose, and fewer elements
+# than this have their orders walked one at a time: below this size the
+# fixed cost of the store's numpy calls exceeds the Python work it saves.
+# Forcing either path on the catalogue, the store lost on most groups of
+# order <= 72, was mixed at 80-120 and won on every group of order >= 144.
 KEYED_MIN_ORDER = 128
 
 
@@ -476,6 +479,7 @@ class Group:
         self._store: Optional[ElementStore] = None
         self._small_generators: Optional[tuple[Perm, ...]] = None
         self._conjugation_tables: Optional[list[np.ndarray]] = None
+        self._class_labels: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:
         return f"Group(degree={self.degree}, ngens={len(self.generators)}, order={self.order()})"
@@ -587,6 +591,24 @@ class Group:
             self._conjugation_tables = [S.conjugation_table(g) for g in self.small_generators()]
         return self._conjugation_tables
 
+    def class_labels(self) -> np.ndarray:
+        """For every id, the least id in its element's conjugacy class.
+        Each label starts as its own id; a round pushes labels both ways
+        along every conjugation table and then to their own label's label,
+        which keeps each in its class, until a round changes none."""
+        if self._class_labels is None:
+            labels = np.arange(self.order())
+            while True:
+                old = labels.copy()
+                for t in self.conjugation_tables():
+                    labels = np.minimum(labels, labels[t])
+                    labels[t] = np.minimum(labels[t], labels)
+                labels = labels[labels]
+                if np.array_equal(labels, old):
+                    break
+            self._class_labels = labels
+        return self._class_labels
+
     @classmethod
     def from_element_set(cls, degree: int, els: Iterable[Perm]) -> "Group":
         """Group whose elements are already known (must be closed).
@@ -689,19 +711,24 @@ class QuotientMap:
         return Perm(self.coset_of(g * rep) for rep in self.reps)
 
 
+def is_normal(G: Group, H: Group) -> bool:
+    """Whether every conjugate of a generator of H by one of G lies in H."""
+    hset = H.element_set()
+    for g in G.generators:
+        ginv = g.inv()
+        if any(g * h * ginv not in hset for h in H.generators):
+            return False
+    return True
+
+
 def quotient_by(G: Group, N: Group) -> tuple[Group, QuotientMap]:
     """Permutation action of G on the left cosets of a normal subgroup N.
 
     The kernel of the action is exactly N, so the image is faithful for G/N.
     """
-    from .errors import NotNormal
-
+    if not is_normal(G, N):
+        raise NotNormal("subgroup is not normal in the ambient group")
     nset = N.element_set()
-    for a in G.generators:
-        ainv = a.inv()
-        for n in N.generators:
-            if a * n * ainv not in nset:
-                raise NotNormal("subgroup is not normal in the ambient group")
     els = G.element_list()
     reps: list[Perm] = []
     coset_index: dict[Perm, int] = {}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oortlab.analysis import (
+    _class_reps,
     _p_element_part,
     center,
     centralizer,
@@ -34,7 +35,8 @@ from oortlab.analysis import (
     sylow,
 )
 from oortlab.construct import build_group
-from oortlab.errors import NonSubgroup, NotPGroup
+from oortlab.errors import NonMember, NonSubgroup, NotPGroup
+from oortlab.gf import factorize
 from oortlab.perm import Group, mulclose, perm_from_cycles
 
 
@@ -67,6 +69,29 @@ def test_center_values():
 def test_conjugacy_class_sizes():
     assert len(conjugacy_class(S4, perm_from_cycles(4, [(0, 1)]))) == 6
     assert len(conjugacy_class(S4, perm_from_cycles(4, [(0, 1, 2, 3)]))) == 6
+
+
+@pytest.mark.parametrize(
+    "spec,cycles",
+    [("A:4", [(0, 1)]), ("A:7", [(0, 1)]), ("A:7", [(5, 6)])],  # A:7 is past KEYED_MIN_ORDER
+)
+def test_conjugacy_class_of_a_non_member(spec, cycles):
+    G = build_group(spec)
+    with pytest.raises(NonMember):
+        conjugacy_class(G, perm_from_cycles(G.degree, cycles))
+
+
+@pytest.mark.parametrize("spec", ["S:4", "D:36", "PGL2:5", "A:7", "DELPERM:5:A4"])
+def test_class_reps_are_first_in_element_list_order(spec):
+    """One representative per class, each the first element of its class
+    in G's element list (breadth-first, not sorted, in these groups)."""
+    G = build_group(spec)
+    seen, reps = set(), []
+    for x in G.element_list():
+        if x not in seen:
+            reps.append(x)
+            seen |= {g * x * g.inv() for g in G.element_list()}
+    assert _class_reps(G) == reps
 
 
 def test_normal_closure():
@@ -155,6 +180,54 @@ def test_o_pi_values():
     assert o_p_prime(S4, 3).order() == 4  # the Klein four group
     assert o_p_prime(build_group("INV:3:8:klein"), 2).order() == 3
     assert o_pi(build_group("C:12"), {2, 3}).order() == 12
+
+
+def _o_pi_by_joins(G: Group, pi) -> frozenset:
+    """O_pi(G) as the join of the normal closures that are pi-groups,
+    scanned over G's element list with classes found from Perm products
+    and each join closed by mulclose over the closures' generators, as
+    o_pi computed it before it scanned class labels."""
+    pi = frozenset(pi)
+    cap = p_part(G.order(), pi)
+    core = {G.identity()}
+    core_gens = []
+    decided = {G.identity()}
+    for x in G.element_list():
+        if len(core) == cap:
+            break
+        if x in decided or x in core:
+            continue
+        if any(p not in pi for p in factorize(x.order())):
+            continue
+        decided |= {g * x * g.inv() for g in G.element_list()}
+        nc = normal_closure(G, [x], cap=cap)
+        if nc is None or any(p not in pi for p in factorize(nc.order())):
+            continue
+        core_gens += nc.generators
+        core = mulclose(core_gens, cap=cap)
+    return frozenset(core)
+
+
+def _assert_o_pi_matches_joins(G: Group):
+    for p in (2, 3, 5, 7):
+        for pi in ({p}, set(factorize(G.order())) - {p}):
+            assert o_pi(G, pi).element_set() == _o_pi_by_joins(G, pi), (p, pi)
+
+
+# in S3 x C4 the normal closure of a transposition, S3, is no larger than
+# the 2-part of the order but is not a 2-group
+@pytest.mark.parametrize(
+    "spec",
+    ["S:4", "D:18", "D:36", "C:15", "INV:3:8:klein", "PGL2:5", "INV:15:8:klein", "DELPERM:5:A4", "PROD:(S:3)x(C:4)"],
+)
+def test_o_pi_matches_the_join_of_closures(spec):
+    _assert_o_pi_matches_joins(build_group(spec))
+
+
+@pytest.mark.parametrize("spec", ["S:4", "D:36", "A:7", "DELPERM:5:S4"])
+def test_o_pi_matches_the_join_of_closures_on_random_subgroups(spec):
+    for H in _random_subgroups(build_group(spec), 5):
+        _assert_o_pi_matches_joins(H)
 
 
 def test_o_pi_conjugation_invariant():

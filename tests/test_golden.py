@@ -16,8 +16,12 @@ Q:32/2 and PSL2:8/2 (both routes) was recorded before the definition
 route moved onto element ids: negatives whose witnesses come from the
 first candidate of each failing shape in the order of the class
 representatives and of the coset walk, on groups of order 32 to 2520, on
-both sides of the store's size rule.  ``timing_ms`` varies from run to run
-and is left out.
+both sides of the store's size rule.  ``audit`` of D:36/2,
+DELPERM:5:A4/2 and PSL2:13/3 was recorded before the conjugacy-class
+scans of O_pi, the minimal normal subgroups and the chief series moved
+onto class labels: a core with two chief factors, case 2a with a rank-3
+factor, and a simplicity test on G/R.  ``timing_ms`` varies from run to
+run and is left out.
 """
 
 import json

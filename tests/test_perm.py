@@ -237,6 +237,39 @@ def test_store_rows_keys_and_ids(spec):
     assert (S.keys[1:] > S.keys[:-1]).all()
 
 
+def _brute_force_class_labels(G: Group) -> list[int]:
+    """The least id of {g x g^-1 : g in G} for every id x, one class at a
+    time from Perm products."""
+    els = G.element_list()
+    index = {x: i for i, x in enumerate(els)}
+    labels = [None] * len(els)
+    for i, x in enumerate(els):
+        if labels[i] is None:
+            cls = [index[g * x * g.inv()] for g in els]
+            for j in cls:
+                labels[j] = min(cls)
+    return labels
+
+
+@pytest.mark.parametrize(
+    "spec", ["C:1", "S:4", "D:10", "PGL2:5", "INV:15:8:klein", "PSL2:13", "DELPERM:5:A4"]
+)
+def test_class_labels_match_brute_force(spec):
+    G = build_group(spec)
+    assert G.class_labels().tolist() == _brute_force_class_labels(G)
+
+
+def test_class_labels_of_groups_cut_by_ids_and_built_from_element_sets():
+    from oortlab.analysis import normalizer, sylow
+
+    G = build_group("PSL2:13")
+    cut = normalizer(G, sylow(G, 3))  # dihedral of order 12, cut by ids
+    listed = sylow(build_group("S:4"), 2)  # D8, from its element set
+    for H in (cut, listed):
+        assert len(H.small_generators()) >= 2
+        assert H.class_labels().tolist() == _brute_force_class_labels(H)
+
+
 def test_keys_past_int64():
     """When degree**len(base) overflows int64 the keys are Python
     integers and lookups still work: C_2^17 on 34 points."""
