@@ -10,9 +10,11 @@ read G's base columns only: ``centralizer`` compares g(h(b)) with h(g(b)),
 keys, and ``sylow`` reads the orders of a normalizer's elements from its
 own store.  Their results are cut from G's store by id.
 
-Conjugacy classes are read off G's class labels (``Group.class_labels``):
-``conjugacy_class``, and the scans of ``o_pi``, ``minimal_normal_subgroups``
-and ``chief_series_within`` over one element per class.  :func:`id_orbit`
+Conjugacy classes are read off G's class labels (``Group.class_labels``).
+Normal subgroups are unions of classes, held as masks over G's ids and
+closed under products by one routine, :func:`_close`, which serves
+``normal_closure``, ``o_pi`` and the one minimal-normal scan behind
+``minimal_normal_subgroups`` and ``chief_series_within``.  :func:`id_orbit`
 walks the orbit of a subgroup held as sorted ids under G's conjugation
 tables, and ``subgroups_of_p_group`` builds the subgroup lattice of P over
 P's multiplication table of ids.
@@ -91,12 +93,11 @@ def conjugacy_class(G: Group, x: Perm) -> set[Perm]:
     return {els[i] for i in np.flatnonzero(labels == label).tolist()}
 
 
-def _class_reps(G: Group) -> list[Perm]:
-    """The first element of each conjugacy class, in element-list order:
-    the elements that are their class's least id."""
+def _class_reps(G: Group) -> np.ndarray:
+    """The ids of the first element of each conjugacy class, in
+    element-list order: the ids that are their class's least id."""
     labels = G.class_labels()
-    els = G.element_list()
-    return [els[i] for i in np.flatnonzero(labels == np.arange(len(labels))).tolist()]
+    return np.flatnonzero(labels == np.arange(len(labels)))
 
 
 def id_orbit(ids: np.ndarray, tables: Sequence[np.ndarray]) -> set[bytes]:
@@ -121,26 +122,39 @@ def id_orbit(ids: np.ndarray, tables: Sequence[np.ndarray]) -> set[bytes]:
     return seen
 
 
-def normal_closure(G: Group, gens: Sequence[Perm], cap: Optional[int] = None) -> Optional[Group]:
-    """<gens^G>.  With a cap, returns None as soon as the closure provably
-    exceeds cap elements."""
-    work = [Perm(g) for g in gens if not Perm(g).is_identity()]
-    if not work:
-        return Group(G.degree, [])
-    pairs = [(g, g.inv()) for g in G.generators]
-    while True:
-        els = mulclose(work, cap=cap)
-        if els is None:
+def _close(G: Group, ids, below: np.ndarray, cap: Optional[int] = None) -> Optional[np.ndarray]:
+    """The normal subgroup of G generated by the normal subgroup ``below``
+    and the classes of the given ids, as a mask over G's ids; None once it
+    has more than cap elements.  A union A of classes is closed under
+    products once A c lies in A for one element c of each class inside:
+    then A c^g = g(g^-1 A g)c g^-1 does too.  Each round multiplies the
+    elements the last round added by those class elements and adds the
+    classes of the products; a pair a c with a older than c's class is
+    conjugate to c a, which a round covers (Holt, Eick & O'Brien,
+    *Handbook of Computational Group Theory*, 2005)."""
+    S, labels, reps = G.store(), G.class_labels(), _class_reps(G)
+    new = np.isin(labels, labels[ids]) & ~below
+    mask = below | new
+    while new.any():
+        if cap is not None and np.count_nonzero(mask) > cap:
             return None
-        new = []
-        for w in work:
-            for g, ginv in pairs:
-                c = g * w * ginv
-                if c not in els:
-                    new.append(c)
-        if not new:
-            return Group.from_element_set(G.degree, els)
-        work.extend(new)
+        products = S.mul(np.flatnonzero(new)[:, None], reps[mask[reps]])
+        grown = mask | np.isin(labels, labels[products])
+        new, mask = grown & ~mask, grown
+    return mask
+
+
+def normal_closure(G: Group, gens: Sequence[Perm], cap: Optional[int] = None) -> Optional[Group]:
+    """<gens^G>, closed over G's ids (:func:`_close`).  With a cap, returns
+    None as soon as the closure exceeds cap elements.  Raises NonMember for
+    a generator outside G."""
+    gens = [g for g in map(Perm, gens) if not g.is_identity()]
+    if not gens:
+        return Group(G.degree, [])
+    if not all(map(G.contains, gens)):
+        raise NonMember("a generator of the normal closure is not in the group")
+    mask = _close(G, G.store().ids_of(gens), np.arange(G.order()) == 0, cap)
+    return None if mask is None else _filtered(G, mask)
 
 
 def p_part(n: int, primes: Iterable[int]) -> int:
@@ -152,27 +166,27 @@ def p_part(n: int, primes: Iterable[int]) -> int:
 
 
 def o_pi(G: Group, pi: Iterable[int]) -> Group:
-    """O_pi(G), the largest normal pi-subgroup: the set of x whose normal
-    closure is a pi-group, so the join of those closures.  The closure is
-    a class function, so the scan visits one representative per class
-    (:func:`_class_reps`), with the closure capped at the pi-part of |G|.
-    The join of two normal subgroups is their product set, so each closure
-    is multiplied into the core, and a representative already in it is
-    skipped.
+    """O_pi(G), the largest normal pi-subgroup: the join of the normal
+    closures that are pi-groups, so G itself when |G| is a pi-number.
+    Otherwise one element per class (:func:`_class_reps`) outside the core
+    is tried: its closure is a pi-group exactly when the core's closure
+    with its class is one (:func:`_close`, capped at the pi-part of |G|),
+    and that closure is the new core.
     """
     pi = frozenset(pi)
     cap = p_part(G.order(), pi)
-    core: set[Perm] = {G.identity()}
-    for x in _class_reps(G):
-        if len(core) == cap:
+    if cap == G.order():
+        return G
+    els, core = G.element_list(), np.arange(G.order()) == 0
+    for x in _class_reps(G).tolist():
+        if np.count_nonzero(core) == cap:
             break
-        if x in core or any(p not in pi for p in factorize(x.order())):
+        if core[x] or any(p not in pi for p in factorize(els[x].order())):
             continue
-        nc = normal_closure(G, [x], cap=cap)
-        if nc is None or any(p not in pi for p in factorize(nc.order())):
-            continue
-        core = {a * b for a in core for b in nc.element_set()}
-    return Group.from_element_set(G.degree, core)
+        joined = _close(G, [x], core, cap)
+        if joined is not None and all(p in pi for p in factorize(np.count_nonzero(joined))):
+            core = joined
+    return _filtered(G, core)
 
 
 def o_p(G: Group, p: int) -> Group:
@@ -355,28 +369,29 @@ def predicates(G: Group) -> dict[str, bool]:
     }
 
 
-def minimal_normal_subgroups(G: Group) -> list[Group]:
-    """Inclusion-minimal nontrivial normal closures of single elements.
+def _minimal_normal_above(
+    G: Group, below: np.ndarray, inside: np.ndarray, cap: Optional[int] = None
+) -> list[Group]:
+    """The minimal normal subgroups of G above the normal subgroup
+    ``below`` and inside the normal subgroup ``inside``, both masks over
+    G's ids, sorted by element list.  Each is the closure of ``below`` and
+    the class of any of its elements outside ``below``, so one element per
+    class is closed (:func:`_close`); closures past the cap are dropped."""
+    reps = _class_reps(G)
+    closures = [_close(G, [x], below, cap) for x in reps[inside[reps] & ~below[reps]]]
+    masks = list({m.tobytes(): m for m in closures if m is not None}.values())
+    minimal = [m for m in masks if not any(o is not m and not (o & ~m).any() for o in masks)]
+    return sorted((_filtered(G, m) for m in minimal), key=Group.element_list)
 
-    Every minimal normal subgroup is the closure of each of its nontrivial
-    elements, so scanning class representatives is exhaustive.
-    """
+
+def minimal_normal_subgroups(G: Group) -> list[Group]:
+    """The inclusion-minimal nontrivial normal subgroups of G, sorted by
+    element list: the minimal normal closures of single classes, each
+    capped at |G|/2, since a subgroup of more than half of G is G."""
     if G.is_trivial():
         return []
-    candidates: dict[frozenset[Perm], Group] = {}
-    half_cap = G.order() // 2
-    for x in _class_reps(G)[1:]:  # the identity's class comes first
-        nc = normal_closure(G, [x], cap=half_cap)
-        if nc is None:
-            continue  # closure is all of G (order > |G|/2 must be |G|)
-        candidates.setdefault(nc.element_set(), nc)
-    if not candidates:
-        return [G]  # simple group: the only nontrivial normal subgroup is G
-    keys = list(candidates)
-    minimal = [
-        k for k in keys if not any(other < k for other in keys)
-    ]
-    return [candidates[k] for k in sorted(minimal, key=sorted)]
+    one = np.arange(G.order()) == 0
+    return _minimal_normal_above(G, one, ~one, G.order() // 2) or [G]
 
 
 def is_simple(G: Group) -> bool:
@@ -458,33 +473,25 @@ def _build_chief_factor(G_degree: int, lower: Group, upper: Group) -> ChiefFacto
 
 def chief_series_within(G: Group, R: Group) -> list[ChiefFactor]:
     """Ascending G-chief series 1 = R_0 < ... < R_t = R, each step adjoining a
-    minimal normal subgroup of G/R_i inside R/R_i.
-
-    Minimal normal subgroups of the quotient are the images of the normal
-    closures <x, R_i>^G for x in R, so the scan runs directly in G instead
-    of materializing large coset actions.  The closure depends only on the
-    G-class of x, so one representative of each class in R outside R_i is
-    tried.
+    minimal normal subgroup of G/R_i inside R/R_i: the image of one of G
+    above R_i inside R (:func:`_minimal_normal_above`, on G's ids, so no
+    coset action is built), the smallest and then the least element list.
+    Raises NonSubgroup when R is not inside G, NotNormal when not normal.
     """
-    if not is_normal(G, R):
+    if not all(map(G.contains, R.generators)):
+        raise NonSubgroup("R is not a subgroup of G")
+    labels = G.class_labels()
+    inside = np.zeros(G.order(), dtype=bool)
+    inside[G.store().ids_of(R.element_list())] = True
+    if not np.array_equal(inside[labels], inside):
         raise NotNormal("R is not normal in G")
     factors: list[ChiefFactor] = []
-    current = Group(G.degree, [])
-    reps = _class_reps(G)
-    while current.order() < R.order():
-        candidates: dict[frozenset[Perm], Group] = {}
-        cset = current.element_set()
-        for x in reps:
-            if x in cset or not R.contains(x):
-                continue
-            nc = normal_closure(G, [x] + list(current.generators))
-            assert nc is not None
-            candidates.setdefault(nc.element_set(), nc)
-        keys = [k for k in candidates if not any(o < k for o in candidates)]
-        chosen = min(keys, key=lambda k: (len(k), sorted(k)))
-        upper = candidates[chosen]
-        factors.append(_build_chief_factor(G.degree, current, upper))
-        current = upper
+    lower, below = Group(G.degree, []), np.arange(G.order()) == 0
+    while lower.order() < R.order():
+        upper = min(_minimal_normal_above(G, below, inside), key=Group.order)
+        below[G.store().ids_of(upper.element_list())] = True
+        factors.append(_build_chief_factor(G.degree, lower, upper))
+        lower = upper
     return factors
 
 

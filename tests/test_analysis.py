@@ -71,27 +71,52 @@ def test_conjugacy_class_sizes():
     assert len(conjugacy_class(S4, perm_from_cycles(4, [(0, 1, 2, 3)]))) == 6
 
 
+def _closure_of(G: Group, x):
+    return normal_closure(G, [G.identity(), x])  # the identity is dropped first
+
+
+def _chief_series_of_span(G: Group, x):
+    return chief_series_within(G, Group(G.degree, [x]))
+
+
+# A:7 is past KEYED_MIN_ORDER; ElementStore.lookup would map each of these
+# permutations to some id of G
 @pytest.mark.parametrize(
-    "spec,cycles",
-    [("A:4", [(0, 1)]), ("A:7", [(0, 1)]), ("A:7", [(5, 6)])],  # A:7 is past KEYED_MIN_ORDER
+    "spec,cycles,call,error",
+    [
+        pytest.param("A:4", [(0, 1)], conjugacy_class, NonMember, id="A:4-cycles0"),
+        pytest.param("A:7", [(0, 1)], conjugacy_class, NonMember, id="A:7-cycles1"),
+        pytest.param("A:7", [(5, 6)], conjugacy_class, NonMember, id="A:7-cycles2"),
+        pytest.param("A:4", [(0, 1)], _closure_of, NonMember, id="A:4-normal_closure"),
+        pytest.param("A:7", [(0, 1)], _closure_of, NonMember, id="A:7-normal_closure"),
+        pytest.param("A:4", [(0, 1)], _chief_series_of_span, NonSubgroup, id="A:4-chief_series"),
+        pytest.param("A:7", [(5, 6)], _chief_series_of_span, NonSubgroup, id="A:7-chief_series"),
+    ],
 )
-def test_conjugacy_class_of_a_non_member(spec, cycles):
+def test_conjugacy_class_of_a_non_member(spec, cycles, call, error):
     G = build_group(spec)
-    with pytest.raises(NonMember):
-        conjugacy_class(G, perm_from_cycles(G.degree, cycles))
+    with pytest.raises(error):
+        call(G, perm_from_cycles(G.degree, cycles))
 
 
 @pytest.mark.parametrize("spec", ["S:4", "D:36", "PGL2:5", "A:7", "DELPERM:5:A4"])
 def test_class_reps_are_first_in_element_list_order(spec):
-    """One representative per class, each the first element of its class
-    in G's element list (breadth-first, not sorted, in these groups)."""
+    """One representative id per class, each that of the first element of
+    its class in G's element list (breadth-first, not sorted, in these
+    groups)."""
     G = build_group(spec)
+    assert [G.element_list()[i] for i in _class_reps(G)] == _class_reps_by_perms(G)
+
+
+def _class_reps_by_perms(G: Group) -> list:
+    """The first element of each class in G's element list, with classes
+    found from Perm products."""
     seen, reps = set(), []
     for x in G.element_list():
         if x not in seen:
             reps.append(x)
             seen |= {g * x * g.inv() for g in G.element_list()}
-    assert _class_reps(G) == reps
+    return reps
 
 
 def test_normal_closure():
@@ -99,6 +124,88 @@ def test_normal_closure():
     assert normal_closure(a4, [perm_from_cycles(4, [(0, 1, 2)])]).order() == 12
     assert normal_closure(a4, [perm_from_cycles(4, [(0, 1), (2, 3)])]).order() == 4
     assert normal_closure(a4, [perm_from_cycles(4, [(0, 1, 2)])], cap=5) is None
+
+
+def _normal_closure_by_perms(G: Group, gens, cap=None):
+    """<gens^G> as an element set, or None past the cap, as normal_closure
+    computed it before it ran on G's ids: mulclose over the generators and
+    their conjugates by G's generators until conjugation adds nothing."""
+    work = [x for x in gens if not x.is_identity()]
+    if not work:
+        return frozenset([G.identity()])
+    pairs = [(g, g.inv()) for g in G.generators]
+    while True:
+        els = mulclose(work, cap=cap)
+        if els is None:
+            return None
+        new = [c for w in work for g, ginv in pairs if (c := g * w * ginv) not in els]
+        if not new:
+            return frozenset(els)
+        work.extend(new)
+
+
+def _minimal_normal_by_perms(G: Group) -> list:
+    """The element sets of the minimal normal subgroups, sorted, as
+    minimal_normal_subgroups found them from the closures above."""
+    reps = _class_reps_by_perms(G)[1:]
+    found = {_normal_closure_by_perms(G, [x], G.order() // 2) for x in reps}
+    found.discard(None)
+    if not found:
+        return [G.element_set()]
+    return sorted((k for k in found if not any(o < k for o in found)), key=sorted)
+
+
+def _chief_series_by_perms(G: Group, R: Group) -> list:
+    """(order, prime, rank, upper element set) of each factor of the chief
+    series, from the closures above: each step takes, among the minimal
+    closures of the current term and one element of R outside it, the
+    smallest and then the least sorted element list."""
+    current, out = frozenset([G.identity()]), []
+    reps = _class_reps_by_perms(G)
+    while len(current) < R.order():
+        outside = [x for x in reps if x not in current and R.contains(x)]
+        found = {_normal_closure_by_perms(G, [x, *current]) for x in outside}
+        minimal = [k for k in found if not any(o < k for o in found)]
+        upper = min(minimal, key=lambda k: (len(k), sorted(k)))
+        ((prime, rank),) = factorize(len(upper) // len(current)).items()
+        out.append((prime**rank, prime, rank, upper))
+        current = upper
+    return out
+
+
+def _assert_closures_match_perms(G: Group):
+    reps = _class_reps_by_perms(G)
+    pairs = [[reps[1], reps[-1]]] if len(reps) > 1 else []
+    for gens in [[x] for x in reps[1:]] + pairs:
+        want = _normal_closure_by_perms(G, gens)
+        assert normal_closure(G, gens).element_set() == want
+        assert normal_closure(G, gens, cap=len(want)).element_set() == want
+        assert normal_closure(G, gens, cap=len(want) - 1) is None
+    got = [H.element_set() for H in minimal_normal_subgroups(G)]
+    assert got == _minimal_normal_by_perms(G)
+
+
+# S3 x C4 has two minimal normal subgroups, C3 and C2 (in C4)
+CLOSURE_SPECS = ["S:4", "D:36", "PROD:(S:3)x(C:4)", "PGL2:5", "PSL2:13", "A:7", "DELPERM:5:A4"]
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_closures_match_the_perm_reference(spec):
+    _assert_closures_match_perms(build_group(spec))
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_closures_match_the_perm_reference_on_random_subgroups(spec):
+    for H in _random_subgroups(build_group(spec), 13):
+        _assert_closures_match_perms(H)
+
+
+@pytest.mark.parametrize("spec", ["D:36", "DELPERM:5:A4", "INV:15:8:klein"])
+def test_chief_series_matches_the_perm_reference(spec):
+    G = build_group(spec)
+    R = o_p_prime(G, 2)
+    got = [(X.order(), X.prime, X.rank, X.upper.element_set()) for X in chief_series_within(G, R)]
+    assert got == _chief_series_by_perms(G, R)
 
 
 def test_sylow_orders():

@@ -20,8 +20,12 @@ both sides of the store's size rule.  ``audit`` of D:36/2,
 DELPERM:5:A4/2 and PSL2:13/3 was recorded before the conjugacy-class
 scans of O_pi, the minimal normal subgroups and the chief series moved
 onto class labels: a core with two chief factors, case 2a with a rank-3
-factor, and a simplicity test on G/R.  ``timing_ms`` varies from run to
-run and is left out.
+factor, and a simplicity test on G/R.  ``construct`` of PSL2:13,
+DELPERM:5:A4 and A:7 (predicates through the derived and lower central
+series) and ``audit`` of PGL2:9/5 and PSL3_4/5 (G/R = G tested for
+simplicity, at order 20160) were recorded before normal closures moved
+onto unions of conjugacy classes over G's ids.  ``timing_ms`` varies from
+run to run and is left out.
 """
 
 import json
