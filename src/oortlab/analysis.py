@@ -11,13 +11,12 @@ keys, and ``sylow`` reads the orders of a normalizer's elements from its
 own store.  Their results are cut from G's store by id.
 
 Conjugacy classes are read off G's class labels (``Group.class_labels``).
-Normal subgroups are unions of classes, held as masks over G's ids and
-closed under products by one routine, :func:`_close`, which serves
-``normal_closure``, ``o_pi`` and the one minimal-normal scan behind
-``minimal_normal_subgroups`` and ``chief_series_within``.  :func:`id_orbit`
-walks the orbit of a subgroup held as sorted ids under G's conjugation
-tables, and ``subgroups_of_p_group`` builds the subgroup lattice of P over
-P's multiplication table of ids.
+``o_pi`` and the one minimal-normal scan behind ``minimal_normal_subgroups``
+and ``chief_series_within`` build unions of classes, masks over G's ids
+closed under products by :func:`_close`; ``normal_closure`` never lists
+G.  :func:`id_orbit` walks the orbit of a subgroup held as sorted ids
+under G's conjugation tables, and ``subgroups_of_p_group`` builds the
+subgroup lattice of P over P's multiplication table of ids.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonMember, NonSubgroup, NotNormal, NotPGroup, TooLarge
+from .errors import CapExceeded, NonMember, NonSubgroup, NotNormal, NotPGroup, TooLarge
 from .gf import factorize
-from .perm import Group, Perm, identity, is_normal, mulclose
+from .perm import Group, Perm, enum_cap, identity, is_normal, mulclose
 
 
 # -- filters over the element store ------------------------------------
@@ -122,17 +121,16 @@ def id_orbit(ids: np.ndarray, tables: Sequence[np.ndarray]) -> set[bytes]:
     return seen
 
 
-def _close(G: Group, ids, below: np.ndarray, cap: Optional[int] = None) -> Optional[np.ndarray]:
+def _close(G: Group, ids, below, reps, cap: Optional[int] = None) -> Optional[np.ndarray]:
     """The normal subgroup of G generated by the normal subgroup ``below``
-    and the classes of the given ids, as a mask over G's ids; None once it
-    has more than cap elements.  A union A of classes is closed under
-    products once A c lies in A for one element c of each class inside:
-    then A c^g = g(g^-1 A g)c g^-1 does too.  Each round multiplies the
-    elements the last round added by those class elements and adds the
-    classes of the products; a pair a c with a older than c's class is
-    conjugate to c a, which a round covers (Holt, Eick & O'Brien,
-    *Handbook of Computational Group Theory*, 2005)."""
-    S, labels, reps = G.store(), G.class_labels(), _class_reps(G)
+    and the classes of ``ids``, as a mask over G's ids; None past cap
+    elements.  A union A of classes is closed under products once A c lies
+    in A for one c per class inside (``reps``), as A c^g = g(g^-1 A g)c g^-1.
+    A round multiplies what the last one added by those c and adds the
+    products' classes; a c with a older than c's class is conjugate to c a,
+    which a round covers (Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, 2005)."""
+    S, labels = G.store(), G.class_labels()
     new = np.isin(labels, labels[ids]) & ~below
     mask = below | new
     while new.any():
@@ -145,16 +143,26 @@ def _close(G: Group, ids, below: np.ndarray, cap: Optional[int] = None) -> Optio
 
 
 def normal_closure(G: Group, gens: Sequence[Perm], cap: Optional[int] = None) -> Optional[Group]:
-    """<gens^G>, closed over G's ids (:func:`_close`).  With a cap, returns
-    None as soon as the closure exceeds cap elements.  Raises NonMember for
-    a generator outside G."""
-    gens = [g for g in map(Perm, gens) if not g.is_identity()]
-    if not gens:
-        return Group(G.degree, [])
-    if not all(map(G.contains, gens)):
+    """<gens^G>, grown over stabilizer chains so that G, which may be past
+    ENUM_CAP, is never listed: each conjugate of a generator by one of G's
+    that the closure so far lacks becomes a generator.  Returns None once
+    the closure exceeds cap elements; without a cap, raises CapExceeded
+    past ENUM_CAP, like :func:`mulclose`.  Raises NonMember for a generator
+    outside G."""
+    work = [g for g in map(Perm, gens) if not g.is_identity()]
+    if not all(map(G.contains, work)):
         raise NonMember("a generator of the normal closure is not in the group")
-    mask = _close(G, G.store().ids_of(gens), np.arange(G.order()) == 0, cap)
-    return None if mask is None else _filtered(G, mask)
+    N = Group(G.degree, [])
+    for w in work:  # grows as conjugates are queued
+        if N.contains(w):
+            continue
+        N = Group(G.degree, [*N.generators, w])
+        if cap is not None and N.order() > cap:
+            return None
+        if cap is None and N.order() > enum_cap():
+            raise CapExceeded(f"normal closure exceeds ENUM_CAP {enum_cap()}")
+        work.extend(g * w * g.inv() for g in G.generators)
+    return N
 
 
 def p_part(n: int, primes: Iterable[int]) -> int:
@@ -167,23 +175,21 @@ def p_part(n: int, primes: Iterable[int]) -> int:
 
 def o_pi(G: Group, pi: Iterable[int]) -> Group:
     """O_pi(G), the largest normal pi-subgroup: the join of the normal
-    closures that are pi-groups, so G itself when |G| is a pi-number.
-    Otherwise one element per class (:func:`_class_reps`) outside the core
-    is tried: its closure is a pi-group exactly when the core's closure
-    with its class is one (:func:`_close`, capped at the pi-part of |G|),
-    and that closure is the new core.
-    """
+    closures that are pi-groups, so G itself when |G| is a pi-number.  Else
+    each class outside the core (one id each, :func:`_class_reps`) joins it
+    when the closure of the two (:func:`_close`, capped at the pi-part of
+    |G|) is a pi-group."""
     pi = frozenset(pi)
     cap = p_part(G.order(), pi)
     if cap == G.order():
         return G
-    els, core = G.element_list(), np.arange(G.order()) == 0
-    for x in _class_reps(G).tolist():
+    els, core, reps = G.element_list(), np.arange(G.order()) == 0, _class_reps(G)
+    for x in reps.tolist():
         if np.count_nonzero(core) == cap:
             break
         if core[x] or any(p not in pi for p in factorize(els[x].order())):
             continue
-        joined = _close(G, [x], core, cap)
+        joined = _close(G, [x], core, reps, cap)
         if joined is not None and all(p in pi for p in factorize(np.count_nonzero(joined))):
             core = joined
     return _filtered(G, core)
@@ -369,19 +375,16 @@ def predicates(G: Group) -> dict[str, bool]:
     }
 
 
-def _minimal_normal_above(
-    G: Group, below: np.ndarray, inside: np.ndarray, cap: Optional[int] = None
-) -> list[Group]:
-    """The minimal normal subgroups of G above the normal subgroup
-    ``below`` and inside the normal subgroup ``inside``, both masks over
-    G's ids, sorted by element list.  Each is the closure of ``below`` and
-    the class of any of its elements outside ``below``, so one element per
-    class is closed (:func:`_close`); closures past the cap are dropped."""
-    reps = _class_reps(G)
-    closures = [_close(G, [x], below, cap) for x in reps[inside[reps] & ~below[reps]]]
+def _minimal_normal_above(G: Group, below, inside, cap: Optional[int] = None) -> list[np.ndarray]:
+    """The minimal normal subgroups of G above ``below`` and inside
+    ``inside`` (normal, as masks over G's ids), as masks sorted by element
+    list.  Each is the closure (:func:`_close`) of ``below`` and any one
+    class in it outside ``below``; closures past the cap are dropped."""
+    els, reps = G.element_list(), _class_reps(G)
+    closures = [_close(G, [x], below, reps, cap) for x in reps[inside[reps] & ~below[reps]]]
     masks = list({m.tobytes(): m for m in closures if m is not None}.values())
     minimal = [m for m in masks if not any(o is not m and not (o & ~m).any() for o in masks)]
-    return sorted((_filtered(G, m) for m in minimal), key=Group.element_list)
+    return sorted(minimal, key=lambda m: sorted(map(els.__getitem__, np.flatnonzero(m).tolist())))
 
 
 def minimal_normal_subgroups(G: Group) -> list[Group]:
@@ -391,7 +394,7 @@ def minimal_normal_subgroups(G: Group) -> list[Group]:
     if G.is_trivial():
         return []
     one = np.arange(G.order()) == 0
-    return _minimal_normal_above(G, one, ~one, G.order() // 2) or [G]
+    return [_filtered(G, m) for m in _minimal_normal_above(G, one, ~one, G.order() // 2)] or [G]
 
 
 def is_simple(G: Group) -> bool:
@@ -480,16 +483,16 @@ def chief_series_within(G: Group, R: Group) -> list[ChiefFactor]:
     """
     if not all(map(G.contains, R.generators)):
         raise NonSubgroup("R is not a subgroup of G")
-    labels = G.class_labels()
+    if R.is_trivial():
+        return []
     inside = np.zeros(G.order(), dtype=bool)
     inside[G.store().ids_of(R.element_list())] = True
-    if not np.array_equal(inside[labels], inside):
+    if not np.array_equal(inside[G.class_labels()], inside):
         raise NotNormal("R is not normal in G")
-    factors: list[ChiefFactor] = []
-    lower, below = Group(G.degree, []), np.arange(G.order()) == 0
+    factors, lower, below = [], Group(G.degree, []), np.arange(G.order()) == 0
     while lower.order() < R.order():
-        upper = min(_minimal_normal_above(G, below, inside), key=Group.order)
-        below[G.store().ids_of(upper.element_list())] = True
+        below = min(_minimal_normal_above(G, below, inside), key=np.count_nonzero)
+        upper = _filtered(G, below)
         factors.append(_build_chief_factor(G.degree, lower, upper))
         lower = upper
     return factors

@@ -7,6 +7,7 @@ import pytest
 
 from oortlab.analysis import (
     _class_reps,
+    _close,
     _p_element_part,
     center,
     centralizer,
@@ -23,6 +24,7 @@ from oortlab.analysis import (
     is_perfect,
     is_simple,
     is_solvable,
+    lower_central_series,
     minimal_normal_subgroups,
     normal_closure,
     normalizer,
@@ -126,10 +128,21 @@ def test_normal_closure():
     assert normal_closure(a4, [perm_from_cycles(4, [(0, 1, 2)])], cap=5) is None
 
 
+def test_commutator_series_of_a_group_past_enum_cap(monkeypatch):
+    """The derived and lower central series never list G, so they work on
+    a G past ENUM_CAP whose terms fit: S3 x C400, of order 2400, has
+    derived subgroup C3, and [G, C3] = C3."""
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", "1000")
+    G = build_group("PROD:(S:3)x(C:400)")
+    assert derived_subgroup(G).order() == 3
+    assert [H.order() for H in lower_central_series(G)] == [2400, 3]
+    assert [H.order() for H in derived_series(G)] == [2400, 3, 1]
+
+
 def _normal_closure_by_perms(G: Group, gens, cap=None):
     """<gens^G> as an element set, or None past the cap, as normal_closure
-    computed it before it ran on G's ids: mulclose over the generators and
-    their conjugates by G's generators until conjugation adds nothing."""
+    once computed it: mulclose over the generators and their conjugates by
+    G's generators until conjugation adds nothing."""
     work = [x for x in gens if not x.is_identity()]
     if not work:
         return frozenset([G.identity()])
@@ -174,13 +187,20 @@ def _chief_series_by_perms(G: Group, R: Group) -> list:
 
 
 def _assert_closures_match_perms(G: Group):
+    """normal_closure, and _close from the identity over G's ids, against
+    the reference; then the minimal normal subgroups."""
     reps = _class_reps_by_perms(G)
     pairs = [[reps[1], reps[-1]]] if len(reps) > 1 else []
+    one, rep_ids, els = np.arange(G.order()) == 0, _class_reps(G), G.element_list()
     for gens in [[x] for x in reps[1:]] + pairs:
         want = _normal_closure_by_perms(G, gens)
         assert normal_closure(G, gens).element_set() == want
         assert normal_closure(G, gens, cap=len(want)).element_set() == want
         assert normal_closure(G, gens, cap=len(want) - 1) is None
+        ids = G.store().ids_of(gens)
+        mask = _close(G, ids, one, rep_ids, cap=len(want))
+        assert {els[i] for i in np.flatnonzero(mask).tolist()} == want
+        assert _close(G, ids, one, rep_ids, cap=len(want) - 1) is None
     got = [H.element_set() for H in minimal_normal_subgroups(G)]
     assert got == _minimal_normal_by_perms(G)
 

@@ -24,8 +24,9 @@ factor, and a simplicity test on G/R.  ``construct`` of PSL2:13,
 DELPERM:5:A4 and A:7 (predicates through the derived and lower central
 series) and ``audit`` of PGL2:9/5 and PSL3_4/5 (G/R = G tested for
 simplicity, at order 20160) were recorded before normal closures moved
-onto unions of conjugacy classes over G's ids.  ``timing_ms`` varies from
-run to run and is left out.
+onto unions of conjugacy classes over G's ids, and ``construct`` of S:9
+(order 362880, past ENUM_CAP; its derived subgroup A9 fits) at the same
+commit.  ``timing_ms`` varies from run to run and is left out.
 """
 
 import json
