@@ -29,7 +29,16 @@ import numpy as np
 
 from .errors import CapExceeded, NonMember, NonSubgroup, NotNormal, NotPGroup, TooLarge
 from .gf import factorize
-from .perm import Group, Perm, enum_cap, identity, is_normal, mulclose
+from .perm import (
+    KEYED_MIN_ORDER,
+    Group,
+    Perm,
+    enum_cap,
+    identity,
+    is_normal,
+    mulclose,
+    sorting_order,
+)
 
 
 # -- filters over the element store ------------------------------------
@@ -71,7 +80,7 @@ def normalizer(G: Group, H: Group) -> Group:
     if H.is_trivial():
         return G
     S = G.store()
-    hkeys = np.sort(S.key(S.base_images(H.element_list())))
+    hkeys = np.sort(S.keys_of(H))
     h_of_ginv_b = hs[:, S.inverse_base()]  # [h, g, b] -> h(g^-1(b))
     keys = S.key(S.E[np.arange(len(S.E))[:, None], h_of_ginv_b])  # of g h g^-1
     found = hkeys[np.searchsorted(hkeys, keys).clip(max=len(hkeys) - 1)] == keys
@@ -212,6 +221,35 @@ def _p_element_part(x: Perm, n: int, p: int) -> Perm:
     return x ** (n // p_part(n, {p}))
 
 
+def _extended(S, inside: np.ndarray, y: int, n: int) -> np.ndarray:
+    """<K, y> for a subgroup K of the store's group, held as a mask over
+    its ids, and an id y of order n normalizing K: the union of the cosets
+    K y^k, up to the first power of y inside K."""
+    row, at = S.E[y], [S.base]
+    for _ in range(n - 1):
+        at.append(row[at[-1]])  # the base images of y^k
+    powers = S.lookup(S.key(np.array(at)))
+    back = np.flatnonzero(inside[powers[1:]])
+    k = back[0] + 1 if len(back) else n
+    out = np.zeros_like(inside)
+    out[S.mul(np.flatnonzero(inside)[:, None], powers[:k])] = True
+    return out
+
+
+def _p_parts(S, ids: np.ndarray, orders: np.ndarray, p: int) -> np.ndarray:
+    """Ids of the p-parts of the elements with the given ids and orders:
+    each to the power of the p'-part of its order, by repeated squaring."""
+    exps = np.array([n // p_part(n, {p}) for n in orders.tolist()], dtype=np.int64)
+    out, base = np.zeros_like(ids), ids.copy()
+    while exps.any():
+        odd = (exps & 1).astype(bool)
+        out[odd] = S.mul(out[odd], base[odd])
+        exps >>= 1
+        live = exps > 0
+        base[live] = S.mul(base[live], base[live])
+    return out
+
+
 def sylow(G: Group, p: int) -> Group:
     """A Sylow p-subgroup, grown through normalizers: a p-subgroup that is
     not yet Sylow has p-elements in its normalizer outside itself.
@@ -219,12 +257,46 @@ def sylow(G: Group, p: int) -> Group:
     The seed is the first element of G, in element-list order, whose order
     p divides, and each new generator is the p-part of the first such
     element of the normalizer, in its sorted order, whose p-part lies
-    outside.  The normalizer is cut from G's store by id, so its element
-    orders come from its own store slice and those of order prime to p
-    cost no permutation work."""
+    outside.  The result keeps those generators.  A G of order at least
+    KEYED_MIN_ORDER is read from its store: orders from the base columns,
+    p-parts as ids, P grown by the cosets of each new generator's powers
+    (:func:`_extended`) and cut from G by id, so no element of G becomes
+    a permutation but the generators.  A smaller G runs the same steps on
+    its element list and :func:`mulclose`, which costs less there."""
     target = p_part(G.order(), {p})
     if target == 1:
         return Group(G.degree, [])
+    if G.order() < KEYED_MIN_ORDER:
+        return _sylow_by_perms(G, p, target)
+    S = G.store()
+    start, stop = 0, 8  # the seed is usually among the first ids: the generators
+    while True:
+        orders = S.orders(np.arange(start, stop))
+        hits = np.flatnonzero(orders % p == 0)
+        if len(hits):
+            break
+        start, stop = stop, min(8 * stop, G.order())
+    n = p_part(int(orders[hits[0]]), {p})
+    y = int(_p_parts(S, start + hits[:1], orders[hits[:1]], p)[0])
+    inside = _extended(S, np.arange(G.order()) == 0, y, n)
+    P = G.subgroup_of_ids(np.flatnonzero(inside), [Perm(S.E[y].tolist())])
+    while P.order() < target:
+        N = normalizer(G, P)
+        ys = S.lookup(S.keys_of(N))  # in N's sorted order
+        orders = S.orders(ys)
+        cand = np.flatnonzero(orders % p == 0)
+        parts = _p_parts(S, ys[cand], orders[cand], p)
+        fresh = np.flatnonzero(~inside[parts])
+        if not len(fresh):
+            raise AssertionError("sylow growth stalled below the p-part")
+        y = int(parts[fresh[0]])
+        inside = _extended(S, inside, y, p_part(int(orders[cand[fresh[0]]]), {p}))
+        P = G.subgroup_of_ids(np.flatnonzero(inside), [*P.generators, Perm(S.E[y].tolist())])
+    return P
+
+
+def _sylow_by_perms(G: Group, p: int, target: int) -> Group:
+    """:func:`sylow` on G's element list, for G below KEYED_MIN_ORDER."""
     for seed in G.element_list():
         n = seed.order()
         if n % p == 0:
@@ -232,7 +304,7 @@ def sylow(G: Group, p: int) -> Group:
     gens = [_p_element_part(seed, n, p)]
     els = mulclose(gens)
     while len(els) < target:
-        P = Group.from_element_set(G.degree, els)
+        P = Group.from_element_set(G.degree, els, gens)
         N = normalizer(G, P)
         for y, n in zip(N.element_list(), N.element_orders()):
             if n % p:
@@ -244,7 +316,7 @@ def sylow(G: Group, p: int) -> Group:
                 break
         else:
             raise AssertionError("sylow growth stalled below the p-part")
-    return Group.from_element_set(G.degree, els)
+    return Group.from_element_set(G.degree, els, gens)
 
 
 def is_p_group(H: Group, p: int) -> bool:
@@ -272,7 +344,7 @@ def subgroups_of_p_group(P: Group, p: int) -> list[Group]:
     if not is_p_group(P, p):
         raise NotPGroup(f"group of order {P.order()} is not a {p}-group")
     S = P.store()
-    srt = S.ids_of(sorted(P.element_set()))  # number i is the id srt[i]
+    srt = sorting_order(S.E)  # number i is the id srt[i]
     n = len(srt)
     number = np.empty(n, dtype=np.intp)
     number[srt] = np.arange(n)
@@ -283,6 +355,7 @@ def subgroups_of_p_group(P: Group, p: int) -> list[Group]:
     for _ in range(p - 1):
         xp = mul[xp, np.arange(n)]
     layer = np.zeros((1, 1), dtype=np.intp)
+    gens: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}  # numbers generating each subgroup
     out = [layer]
     while len(layer):
         rows = np.arange(len(layer))[:, None]
@@ -290,7 +363,7 @@ def subgroups_of_p_group(P: Group, p: int) -> list[Group]:
         inside[rows, layer] = True
         normalizes = inside[rows[:, :, None], conj[:, layer].transpose(1, 0, 2)].all(axis=2)
         extends = ~inside & inside[rows, xp] & normalizes
-        nxt: set[tuple[int, ...]] = set()
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         # any x inside an extension of a already built generates that same
         # extension, so skip the union of a's extensions found so far
         for i, x in zip(*np.nonzero(extends)):
@@ -301,10 +374,16 @@ def subgroups_of_p_group(P: Group, p: int) -> list[Group]:
                 powers.append(mul[powers[-1], x])
             b = np.sort(mul[layer[i][:, None], powers], axis=None)
             inside[i, b] = True
-            nxt.add(tuple(b.tolist()))
+            nxt.setdefault(tuple(b.tolist()), (*gens[tuple(layer[i].tolist())], int(x)))
+        gens.update(nxt)
         layer = np.array(sorted(nxt), dtype=np.intp).reshape(len(nxt), p * layer.shape[1])
         out.append(layer)
-    return [P.subgroup_of_ids(srt[a]) for layer in out for a in layer]
+    rows = S.E[srt].tolist()
+    return [
+        P.subgroup_of_ids(srt[a], [Perm(rows[x]) for x in gens[tuple(a.tolist())]])
+        for layer in out
+        for a in layer
+    ]
 
 
 # -- derived structure and predicates ----------------------------------
@@ -486,7 +565,8 @@ def chief_series_within(G: Group, R: Group) -> list[ChiefFactor]:
     if R.is_trivial():
         return []
     inside = np.zeros(G.order(), dtype=bool)
-    inside[G.store().ids_of(R.element_list())] = True
+    S = G.store()
+    inside[S.lookup(S.keys_of(R))] = True
     if not np.array_equal(inside[G.class_labels()], inside):
         raise NotNormal("R is not normal in G")
     factors, lower, below = [], Group(G.degree, []), np.arange(G.order()) == 0

@@ -54,7 +54,7 @@ from .analysis import (
 )
 from .errors import PreconditionFailed
 from .gf import MAX_Q, factorize, is_prime
-from .perm import Group, Perm, mulclose, quotient_by
+from .perm import KEYED_MIN_ORDER, Group, Perm, mulclose, quotient_by
 
 
 # -- shapes -------------------------------------------------------------
@@ -128,11 +128,11 @@ def is_cyclic_by_p(H: Group, p: int) -> tuple[bool, Optional[tuple[Group, int]]]
     Q = o_p(H, p)
     if Q.order() != p_part(H.order(), {p}):
         return False, None
-    if Q.order() == H.order():
-        return True, (Q, 1)
-    Hq, _ = quotient_by(H, Q)
-    if any(x.order() == Hq.order() for x in Hq.element_list()):
-        return True, (Q, Hq.order())
+    m = H.order() // Q.order()
+    # Q is H's only Sylow p-subgroup, so the order of xQ in H/Q is the
+    # p'-part of the order of x, and H/Q is cyclic when one reaches m
+    if m == 1 or any(n // p_part(n, {p}) == m for n in set(H.element_orders())):
+        return True, (Q, m)
     return False, None
 
 
@@ -154,7 +154,7 @@ def _sylow_subgroup_classes(G: Group, p: int) -> tuple[Group, list[Group]]:
     seen: set[bytes] = set()
     reps = []
     for Q in subs:
-        ids = np.sort(S.ids_of(Q.element_set()))
+        ids = np.sort(S.lookup(S.keys_of(Q)))
         if ids.tobytes() in seen:
             continue
         reps.append(Q)
@@ -182,7 +182,7 @@ def _cyclic_by_p_stream(G: Group, p: int, skip_trivial_q: bool) -> Iterator[Grou
         N = G if Q.is_trivial() else normalizer(G, Q)
         S = N.store()
         n = N.order()
-        q = S.ids_of(Q.element_set())
+        q = S.lookup(S.keys_of(Q))
         t = np.arange(n)
         head = t.copy()  # head[t]: the least id of the coset Qt
         step = max(1, (1 << 18) // n)  # about 2^18 products at a time bound the memory
@@ -289,8 +289,9 @@ class Context:
 
     def local(self, f, H: Group) -> Group:
         """f(G, H) for f in {normalizer, centralizer}, memoized by f and
-        the element set of H."""
-        key = (f, H.element_set())
+        the bytes of the sorted keys of H's elements at G's base, which
+        name them as their ids in G would."""
+        key = (f, np.sort(self.G.store().keys_of(H)).tobytes())
         if key not in self._local:
             self._local[key] = f(self.G, H)
         return self._local[key]
@@ -299,11 +300,11 @@ class Context:
     def P(self) -> Group:
         return sylow(self.G, self.p)
 
-    @property
+    @cached_property
     def N(self) -> Group:
         return self.local(normalizer, self.P)
 
-    @property
+    @cached_property
     def C(self) -> Group:
         return self.local(centralizer, self.P)
 
@@ -391,14 +392,27 @@ def is_o_group_by_criterion(G: Group, p: int) -> OortVerdict:
 
 
 def _inverting_outside(N: Group, C: Group) -> bool:
-    """Whether every element of N outside C is an involution inverting the
-    generators of C."""
-    cset = C.element_set()
-    return all(
-        y.order() == 2 and all(y * c * y == c.inv() for c in C.generators)
-        for y in N.element_list()
-        if y not in cset
-    )
+    """Whether every element of N outside C (a subgroup of N) is an
+    involution inverting the generators of C.  An N of order at least
+    KEYED_MIN_ORDER is read from its store: the orders of the elements y
+    outside C from its base columns, and y c y = c^-1 for an involution y
+    as (y c)^2 = 1, its identity being id 0.  A smaller N is walked as
+    permutations, which costs less there."""
+    if N.order() < KEYED_MIN_ORDER:
+        cset = C.element_set()
+        return all(
+            y.order() == 2 and all(y * c * y == c.inv() for c in C.generators)
+            for y in N.element_list()
+            if y not in cset
+        )
+    S = N.store()
+    outside = np.ones(N.order(), dtype=bool)
+    outside[S.lookup(S.keys_of(C))] = False
+    ys = np.flatnonzero(outside)
+    if (S.orders(ys) != 2).any():
+        return False
+    yc = S.mul(ys[:, None], S.ids_of(C.generators))
+    return not S.mul(yc, yc).any()
 
 
 # -- quotient identification --------------------------------------------

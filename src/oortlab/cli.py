@@ -8,6 +8,14 @@ the two routes over a manifest).
 Exit codes: 0 positive verdict / success, 1 negative verdict or
 expectation mismatch, 2 parse or I/O error, 3 route disagreement,
 4 enumeration cap exceeded, 5 audit violation.
+
+validate runs every entry of its manifest.  An entry that fails gives an
+error record, ``{"spec", "p", "error", "detail"}`` with error "cap" (past
+the enumeration cap), "too-large" (a parameter out of range) or "parse"
+(any other failure to build or decide), in place of its verdict.  Its
+exit code is the most severe outcome over the entries, in this order:
+3 (a route disagreement), 4 (a cap error), 2 (a too-large or parse
+error), 1 (an expectation mismatch), 0.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .classify import (
     theorem_audit,
 )
 from .construct import build_group
-from .errors import CapExceeded, ConstructionError, OortlabError, PreconditionFailed
+from .errors import CapExceeded, ConstructionError, OortlabError, PreconditionFailed, TooLarge
 from .gf import is_prime
 from .perm import Group
 
@@ -179,10 +187,18 @@ def bundled_manifest_text() -> str:
     return resources.files("oortlab.data").joinpath("catalogue.txt").read_text()
 
 
+# validate's exit codes, least severe first
+_SEVERITY = [EXIT_OK, EXIT_NEGATIVE, EXIT_PARSE, EXIT_CAP, EXIT_DISAGREE]
+
+
 def _validate_one(task: tuple[str, int]) -> tuple[dict, bool]:
+    """(the entry's verdict doc or error record, routes_agree)."""
     spec, p = task
-    G = build_group(spec)
-    return _run_routes(spec, G, p, "both")
+    try:
+        return _run_routes(spec, build_group(spec), p, "both")
+    except (ConstructionError, ValueError, OortlabError) as exc:
+        error = {CapExceeded: "cap", TooLarge: "too-large"}.get(type(exc), "parse")
+        return {"spec": spec, "p": p, "error": error, "detail": str(exc)}, True
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -210,16 +226,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
     disagreements = []
     mismatches = []
     docs = []
+    code = EXIT_OK
     i = 0
     for spec, primes, expect in entries:
         for j, p in enumerate(primes):
             doc, agree = results[i]
             i += 1
             docs.append(doc)
-            if not agree:
+            if "error" in doc:
+                outcome = EXIT_CAP if doc["error"] == "cap" else EXIT_PARSE
+            elif not agree:
+                outcome = EXIT_DISAGREE
                 disagreements.append((spec, p))
             elif expect is not None and doc["is_o_group"] != expect[j]:
+                outcome = EXIT_NEGATIVE
                 mismatches.append((spec, p, expect[j], doc["is_o_group"]))
+            else:
+                outcome = EXIT_OK
+            code = max(code, outcome, key=_SEVERITY.index)
 
     lines = "\n".join(json.dumps(d) for d in docs)
     if args.out:
@@ -233,21 +257,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if docs:
             print(lines)
 
+    verdicts = [d["is_o_group"] for d in docs if "error" not in d]
     summary = {
         "entries": len(tasks),
-        "positive": sum(d["is_o_group"] for d in docs),
-        "negative": sum(not d["is_o_group"] for d in docs),
+        "positive": sum(verdicts),
+        "negative": len(verdicts) - sum(verdicts),
+        "errors": len(docs) - len(verdicts),
         "disagreements": [f"{s} p={p}" for s, p in disagreements],
         "expect_mismatches": [
             f"{s} p={p}: expected {e}, got {g}" for s, p, e, g in mismatches
         ],
     }
     print(json.dumps(summary, indent=2))
-    if disagreements:
-        return EXIT_DISAGREE
-    if mismatches:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -316,9 +316,10 @@ class ElementStore:
     images.  Only the identity of G fixes every base point, so the key
     determines an element of G, and membership of an element of
     G in a subgroup H is a key lookup among H's keys at this base.  Keys
-    are int64 unless degree**len(base) overflows it, in which case they
-    are Python integers.  ``lookup`` finds ids with ``searchsorted`` in
-    the sorted keys, sorted on first use.
+    are int64 unless degree**len(base) overflows it; then the key is the
+    fixed-width bytes of the int32 base images (a numpy void scalar), which
+    sort and compare as well.  ``lookup`` finds ids with ``searchsorted``
+    in the sorted keys, sorted on first use.
     """
 
     __slots__ = ("E", "base", "radix", "keys", "ids", "_inverse_base")
@@ -327,14 +328,17 @@ class ElementStore:
         degree, b = E.shape[1], len(base)
         self.E = E
         self.base = np.array(base, dtype=np.intp)
-        dtype = np.int64 if degree**b < 2**63 else object
-        self.radix = np.array([degree**i for i in range(b)], dtype=dtype)
+        # None: keys are the bytes of the base images
+        self.radix = np.array([degree**i for i in range(b)], dtype=np.int64) if degree**b < 2**63 else None
         self.keys: Optional[np.ndarray] = None  # sorted; ids[j] has key keys[j]
         self.ids: Optional[np.ndarray] = None
         self._inverse_base: Optional[np.ndarray] = None
 
     def key(self, images: np.ndarray) -> np.ndarray:
         """Keys of the elements whose base images run along the last axis."""
+        if self.radix is None:
+            images = np.ascontiguousarray(images, dtype=np.int32)
+            return images.view(np.dtype((np.void, images.shape[-1] * 4)))[..., 0]
         return images @ self.radix
 
     def base_images(self, els: Collection[Perm]) -> np.ndarray:
@@ -383,9 +387,13 @@ class ElementStore:
         return orders
 
     def inverse_base(self) -> np.ndarray:
-        """g^-1(b) for every element g (rows) and base point b (columns)."""
+        """g^-1(b) for every element g (rows) and base point b (columns):
+        g^-1(g(x)) = x scattered into each row."""
         if self._inverse_base is None:
-            self._inverse_base = (self.E[:, :, None] == self.base).argmax(axis=1)
+            n, d = self.E.shape
+            inverse = np.empty_like(self.E)
+            inverse[np.arange(n)[:, None], self.E] = np.arange(d, dtype=self.E.dtype)
+            self._inverse_base = inverse[:, self.base]
         return self._inverse_base
 
     def restricted(self, ids: Sequence[int]) -> "ElementStore":
@@ -399,6 +407,14 @@ class ElementStore:
     def ids_of(self, els: Collection[Perm]) -> np.ndarray:
         """Ids of the given elements of G."""
         return self.lookup(self.key(self.base_images(els)))
+
+    def keys_of(self, H: "Group") -> np.ndarray:
+        """Keys of the elements of a subgroup H of G, in H's element-list
+        order, read from H's store when it has one, else from its element
+        list."""
+        if H._store is not None:
+            return self.key(H._store.E[:, self.base])
+        return self.key(self.base_images(H.element_list()))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Ids of the products a * b, elementwise with broadcasting: the
@@ -418,9 +434,11 @@ def _enumerate(chain: StabilizerChain, gens: Sequence[Perm]) -> ElementStore:
     Its rows are the products u_1 u_2 ... u_k of one representative from
     each level's transversal, every element exactly once.  One table per
     generator a gives the id of a * g for every g, and a breadth-first walk
-    over those tables from the identity, frontier by frontier and the
-    generators in order, puts the rows in :func:`mulclose`'s order.  The
-    walk reaching every row proves that gens generate the chain's group."""
+    over those tables from the identity puts the rows in :func:`mulclose`'s
+    order: each frontier's products, scanned element by element and each
+    element's generators in order, contribute their first occurrences that
+    no earlier frontier holds.  The walk reaching every row proves that
+    gens generate the chain's group."""
     d = chain.degree
     rows = np.arange(d, dtype=np.int32)[None]
     for level in reversed(chain.levels):
@@ -428,17 +446,24 @@ def _enumerate(chain: StabilizerChain, gens: Sequence[Perm]) -> ElementStore:
         rows = reps[:, rows].reshape(-1, d)
     S = ElementStore(rows, [level.base for level in chain.levels])
     n = len(rows)
-    images = np.array(gens, dtype=np.int32)[:, rows[:, S.base]]
-    succ = S.lookup(S.key(images)).T.tolist()  # succ[g][i]: row of gens[i] * g
-    start = int(S.lookup(S.key(S.base)))
-    seen = bytearray(n)
-    seen[start] = 1
-    walk = [start]
-    for g in walk:  # grows as the walk goes: frontier after frontier
-        for h in succ[g]:
-            if not seen[h]:
-                seen[h] = 1
-                walk.append(h)
+    at_base = np.ascontiguousarray(rows[:, S.base])
+    succ = np.stack([S.lookup(S.key(np.array(a, dtype=np.int32)[at_base])) for a in gens], axis=1)
+    # succ[g, i]: the row of gens[i] * g
+    frontier = S.lookup(S.key(S.base))[None]
+    seen = np.zeros(n, dtype=bool)
+    seen[frontier] = True
+    first = np.empty(n, dtype=np.intp)  # first[x]: x's first position in the scan
+    walk = [frontier]
+    while len(frontier):
+        scan = succ[frontier].ravel()
+        scan = scan[~seen[scan]]
+        at = np.arange(len(scan))
+        first[scan] = len(scan)
+        np.minimum.at(first, scan, at)
+        frontier = scan[first[scan] == at]
+        seen[frontier] = True
+        walk.append(frontier)
+    walk = np.concatenate(walk)
     if len(walk) != n:
         raise AssertionError(f"enumeration found {len(walk)} elements, chain says {n}")
     position = np.empty(n, dtype=np.intp)
@@ -487,10 +512,9 @@ class Group:
     @property
     def generators(self) -> tuple[Perm, ...]:
         if self._generators is None:
-            assert self._element_list is not None
             # the sift's chain is the chain of the sifted generators
             self._chain = StabilizerChain(self.degree, [])
-            self._generators = _sift_generators(self._chain, self._element_list)
+            self._generators = _sift_generators(self._chain, self.element_list(), self.order())
         return self._generators
 
     @property
@@ -525,26 +549,23 @@ class Group:
     def element_list(self) -> list[Perm]:
         """All elements in deterministic order: breadth-first from the
         identity (:func:`mulclose`'s order) for a group given by
-        generators, sorted for one built from its element set.  Raises
-        CapExceeded when the group is larger than ENUM_CAP.
+        generators, sorted for one built from its element set or cut from
+        ids.  Raises CapExceeded when the group is larger than ENUM_CAP.
 
-        A group of order at least KEYED_MIN_ORDER is enumerated through its
-        :class:`ElementStore`: the rows are the products of the chain's
-        transversals and the walk runs over ids; a smaller one runs
-        :func:`mulclose`, which costs less than the numpy calls there."""
+        A group of order below KEYED_MIN_ORDER that has no store runs
+        :func:`mulclose`, which costs less than the numpy calls there; any
+        other reads its store's rows back as permutations, which only the
+        edges need (witness generators, sifted generators, reports)."""
         if self._element_list is None:
             n = self.order()
-            if n > enum_cap():
-                raise CapExceeded(f"group order {n} exceeds ENUM_CAP {enum_cap()}")
-            gens = self.generators or [self.identity()]
-            if n < KEYED_MIN_ORDER:
-                els = list(mulclose(gens))
+            if self._store is None and n < KEYED_MIN_ORDER:
+                _check_cap(n)
+                els = list(mulclose(self.generators or [self.identity()]))
                 if len(els) != n:
                     raise AssertionError(f"enumeration found {len(els)} elements, chain says {n}")
                 self._element_set = frozenset(els)  # cheap here; membership tests then skip the chain
             else:
-                self._store = _enumerate(self.chain, gens)
-                els = list(map(Perm, self._store.E.tolist()))
+                els = list(map(Perm, self.store().E.tolist()))
             self._element_list = els
         return self._element_list
 
@@ -558,10 +579,16 @@ class Group:
         keyed at the base of this group's chain, or for a group built from
         its element set and not yet sifted, at a base read off its elements;
         a subgroup cut from ids is keyed at the base of the group it was cut
-        from."""
+        from.  A group of order at least KEYED_MIN_ORDER with no element
+        list is enumerated here (:func:`_enumerate`), listing no
+        permutation.  Raises CapExceeded when the group is larger than
+        ENUM_CAP."""
         if self._store is None:
-            els = self.element_list()
-            if self._store is None:  # not enumerated through the store
+            if self._element_list is None and self.order() >= KEYED_MIN_ORDER:
+                _check_cap(self.order())
+                self._store = _enumerate(self.chain, self.generators or [self.identity()])
+            else:
+                els = self.element_list()
                 n, d = len(els), self.degree
                 E = np.fromiter(itertools.chain.from_iterable(els), np.int32, count=n * d)
                 base = _base_of(els) if self._chain is None else [lv.base for lv in self._chain.levels]
@@ -580,7 +607,10 @@ class Group:
             return self.generators
         if self._small_generators is None:
             chain = StabilizerChain(self.degree, [])  # a scratch chain: G keeps its own
-            self._small_generators = _sift_generators(chain, sorted(self.element_set()))
+            rows = self.store().E
+            rows = rows[sorting_order(rows)]  # sorted as permutations, built as the sift reads them
+            els = (Perm(rows[i].tolist()) for i in range(len(rows)))
+            self._small_generators = _sift_generators(chain, els, self.order())
         return self._small_generators
 
     def conjugation_tables(self) -> list[np.ndarray]:
@@ -610,32 +640,40 @@ class Group:
         return self._class_labels
 
     @classmethod
-    def from_element_set(cls, degree: int, els: Iterable[Perm]) -> "Group":
+    def from_element_set(
+        cls, degree: int, els: Iterable[Perm], generators: Optional[Sequence[Perm]] = None
+    ) -> "Group":
         """Group whose elements are already known (must be closed).
 
         Only the element set and the sorted element list are stored; the
-        generators are sifted from the sorted list when first read.
+        generators, unless given (no identity, no repeats), are sifted from
+        the sorted list when first read.
         """
         G = cls(degree, (), check=False)
-        G._generators = None
+        G._generators = None if generators is None else tuple(generators)
         G._element_set = frozenset(Perm(e) for e in els)
         G._element_list = sorted(G._element_set)
         G._order = len(G._element_set)
         return G
 
-    def subgroup_of_ids(self, ids: Iterable[int]) -> "Group":
+    def subgroup_of_ids(
+        self, ids: Iterable[int], generators: Optional[Sequence[Perm]] = None
+    ) -> "Group":
         """The subgroup whose elements have the given ids, which must be
         closed under products.  Like a group from :meth:`from_element_set`
-        it lists its elements sorted and sifts its generators from that
-        list when they are read; its store takes its rows from this
-        group's store, keyed at this group's base."""
-        S = self.store()
-        els = self._element_list
-        ids = sorted(np.asarray(ids).tolist(), key=els.__getitem__)
+        it lists its elements sorted (:func:`sorting_order`) and, unless
+        they are given, sifts its generators from that list when they are
+        read.  Its store takes its rows from this group's store, keyed at
+        this group's base; its permutations are built only when read."""
+        S, els = self.store(), self._element_list
         H = Group(self.degree, (), check=False)
-        H._generators = None
-        H._element_list = [els[i] for i in ids]
-        H._element_set = frozenset(H._element_list)
+        H._generators = None if generators is None else tuple(generators)
+        if els is not None:  # listed already: slicing costs less than building permutations
+            ids = sorted(np.asarray(ids).tolist(), key=els.__getitem__)
+            H._element_list = [els[i] for i in ids]
+        else:
+            ids = np.asarray(ids)
+            ids = ids[sorting_order(S.E[ids])]
         H._order = len(ids)
         H._store = S.restricted(ids)
         return H
@@ -661,6 +699,21 @@ class Group:
         return [els[rng.randrange(len(els))] for _ in range(k)]
 
 
+def sorting_order(rows: np.ndarray) -> np.ndarray:
+    """The order in which ``sorted()`` puts the permutations whose image
+    rows are given: lexicographic, first point first.  The rows are
+    compared as big-endian bytes, whose order on nonnegative integers is
+    theirs, which numpy sorts much faster than ``np.lexsort`` of the
+    columns."""
+    rows = np.ascontiguousarray(rows, dtype=">i4")
+    return np.argsort(rows.view(np.dtype((np.void, rows.shape[1] * 4)))[:, 0], kind="stable")
+
+
+def _check_cap(n: int) -> None:
+    if n > enum_cap():
+        raise CapExceeded(f"group order {n} exceeds ENUM_CAP {enum_cap()}")
+
+
 def _base_of(els: Sequence[Perm]) -> list[int]:
     """Points that no element of els but the identity fixes all of: the
     least point moved by the first element that fixes every point chosen
@@ -675,15 +728,15 @@ def _base_of(els: Sequence[Perm]) -> list[int]:
     return base
 
 
-def _sift_generators(chain: StabilizerChain, els: Sequence[Perm]) -> tuple[Perm, ...]:
-    """A small generating set of the group whose elements are ``els``:
-    sifting them in the given order through the incremental chain (empty
-    at the start), each one not yet in the chain becomes a generator,
-    until the chain reaches the group order.  The chain is left as the
-    chain of the returned generators."""
+def _sift_generators(chain: StabilizerChain, els: Iterable[Perm], n: int) -> tuple[Perm, ...]:
+    """A small generating set of the group of order n whose elements are
+    ``els``: sifting them in the given order through the incremental chain
+    (empty at the start), each one not yet in the chain becomes a
+    generator, until the chain reaches the group order.  The chain is left
+    as the chain of the returned generators."""
     gens: list[Perm] = []
     for e in els:
-        if chain.order() == len(els):
+        if chain.order() == n:
             break
         if not chain.contains(e):
             gens.append(e)

@@ -3,6 +3,7 @@
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -271,15 +272,16 @@ def test_class_labels_of_groups_cut_by_ids_and_built_from_element_sets():
 
 
 def test_keys_past_int64():
-    """When degree**len(base) overflows int64 the keys are Python
-    integers and lookups still work: C_2^17 on 34 points."""
+    """When degree**len(base) overflows int64 the keys are the bytes of
+    the int32 base images, a fixed-width void type, and lookups still
+    work: C_2^17 on 34 points."""
     gens = [perm_from_cycles(34, [(2 * i, 2 * i + 1)]) for i in range(17)]
     G = Group(34, gens)
     S = G.store()
-    assert S.keys.dtype == object
-    els = G.element_list()
-    sample = random.Random(8).sample(els, 50)
-    assert S.lookup(S.key(S.base_images(sample))).tolist() == [els.index(x) for x in sample]
+    assert S.keys.dtype == np.dtype((np.void, 4 * 17))
+    ids = random.Random(8).sample(range(G.order()), 50)
+    sample = [Perm(S.E[i].tolist()) for i in ids]
+    assert S.lookup(S.key(S.base_images(sample))).tolist() == ids
 
 
 def test_quotient_by():
