@@ -7,8 +7,9 @@ keys, ids) and the lazily derived generators of each subgroup all live in
 :class:`~oortlab.perm.Group`.  The three filters on the criterion's path
 read G's base columns only: ``centralizer`` compares g(h(b)) with h(g(b)),
 ``normalizer`` forms g h g^-1 at the base and looks its key up among H's
-keys, and ``sylow`` reads the orders of a normalizer's elements from its
-own store.  Their results are cut from G's store by id.
+keys, and ``sylow`` reads element orders from the base columns and grows
+P as ids.  Their results are cut from G's store by id, so on a G of order
+at least KEYED_MIN_ORDER none of them builds G's ``Perm`` list.
 
 Conjugacy classes are read off G's class labels (``Group.class_labels``).
 ``o_pi`` and the one minimal-normal scan behind ``minimal_normal_subgroups``
@@ -16,7 +17,8 @@ and ``chief_series_within`` build unions of classes, masks over G's ids
 closed under products by :func:`_close`; ``normal_closure`` never lists
 G.  :func:`id_orbit` walks the orbit of a subgroup held as sorted ids
 under G's conjugation tables, and ``subgroups_of_p_group`` builds the
-subgroup lattice of P over P's multiplication table of ids.
+subgroup lattice of P over P's multiplication table of ids; each subgroup
+keeps the generators it was built from.
 """
 
 from __future__ import annotations
@@ -269,7 +271,7 @@ def sylow(G: Group, p: int) -> Group:
     if G.order() < KEYED_MIN_ORDER:
         return _sylow_by_perms(G, p, target)
     S = G.store()
-    start, stop = 0, 8  # the seed is usually among the first ids: the generators
+    start, stop = 0, min(8, G.order())  # the seed is usually among the first ids: the generators
     while True:
         orders = S.orders(np.arange(start, stop))
         hits = np.flatnonzero(orders % p == 0)

@@ -12,16 +12,18 @@ The definition route runs on element ids of G's store: the subgroups of
 P and their G-classes are sorted id arrays conjugated through G's tables,
 the coset walk over N_G(Q) forms the products q t and the powers of t
 over the base columns for all t at once, and ``shape_of`` reads element
-orders from the store.  Permutations are read back, as G's own element
-objects, only for the candidate groups it yields, whose generators the
-witnesses print.
+orders from the store.  Permutations are built only at the edges: the
+generators the witnesses print, sifted from a candidate's own sorted
+``Perm`` list when they are read.
 
 The criterion, the structure reports and the claim audit share one
 :class:`Context` per (G, p), holding P, the p'-core, the criterion
 verdict, the p-local subgroups they all read (the cyclic chain under a
 cyclic P and the Klein fours of P) and one memo of the normalizer and
-centralizer of each such subgroup, P included.  The definition route
-never takes a context.
+centralizer of each such subgroup, P included, keyed by the subgroup's
+keys at G's base.  On a G of order at least KEYED_MIN_ORDER the criterion
+never lists G: sylow, the normalizers and centralizers and the inversion
+test read G's store.  The definition route never takes a context.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .analysis import (
 )
 from .errors import PreconditionFailed
 from .gf import MAX_Q, factorize, is_prime
-from .perm import KEYED_MIN_ORDER, Group, Perm, mulclose, quotient_by
+from .perm import Group, Perm, mulclose, quotient_by
 
 
 # -- shapes -------------------------------------------------------------
@@ -392,27 +394,14 @@ def is_o_group_by_criterion(G: Group, p: int) -> OortVerdict:
 
 
 def _inverting_outside(N: Group, C: Group) -> bool:
-    """Whether every element of N outside C (a subgroup of N) is an
-    involution inverting the generators of C.  An N of order at least
-    KEYED_MIN_ORDER is read from its store: the orders of the elements y
-    outside C from its base columns, and y c y = c^-1 for an involution y
-    as (y c)^2 = 1, its identity being id 0.  A smaller N is walked as
-    permutations, which costs less there."""
-    if N.order() < KEYED_MIN_ORDER:
-        cset = C.element_set()
-        return all(
-            y.order() == 2 and all(y * c * y == c.inv() for c in C.generators)
-            for y in N.element_list()
-            if y not in cset
-        )
+    """Whether every element of N outside its subgroup C is an involution
+    inverting C.  The involutions suffice: for y outside C and c in C, y c
+    lies outside C too, so (y c)^2 = 1, which for an involution y is
+    y c y = c^-1.  The orders come from N's store."""
     S = N.store()
     outside = np.ones(N.order(), dtype=bool)
     outside[S.lookup(S.keys_of(C))] = False
-    ys = np.flatnonzero(outside)
-    if (S.orders(ys) != 2).any():
-        return False
-    yc = S.mul(ys[:, None], S.ids_of(C.generators))
-    return not S.mul(yc, yc).any()
+    return bool((S.orders(np.flatnonzero(outside)) == 2).all())
 
 
 # -- quotient identification --------------------------------------------

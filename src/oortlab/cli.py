@@ -197,7 +197,12 @@ def _validate_one(task: tuple[str, int]) -> tuple[dict, bool]:
     try:
         return _run_routes(spec, build_group(spec), p, "both")
     except (ConstructionError, ValueError, OortlabError) as exc:
-        error = {CapExceeded: "cap", TooLarge: "too-large"}.get(type(exc), "parse")
+        if isinstance(exc, CapExceeded):
+            error = "cap"
+        elif isinstance(exc, TooLarge) or isinstance(exc.__cause__, TooLarge):  # build_group wraps it
+            error = "too-large"
+        else:
+            error = "parse"
         return {"spec": spec, "p": p, "error": error, "detail": str(exc)}, True
 
 

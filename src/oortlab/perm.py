@@ -5,21 +5,21 @@ Points are 0-based.  The composition convention is (a * b)(x) = a(b(x)):
 
 :class:`Group` owns its element store: the deterministic stabilizer chain
 (base points chosen as the lowest moved point) for order and membership,
-the exhaustive element list and set for desk-scale groups, the integer
-:class:`ElementStore` built beside that list, and a small generating set
-for conjugation sweeps.  Each is filled on first use.  A group built from
-its element set computes its generators and chain only when they are
-read, and its chain is the one its generator sift built.
+the integer :class:`ElementStore`, and a small generating set for
+conjugation sweeps.  Each is filled on first use.  A group built from its
+element set computes its generators and chain only when they are read,
+and its chain is the one its generator sift built.
 
 The store holds one numpy image row per element (its id is the row) and
 an int64 key per element, sum g[b_i] * degree**i over the points b_i of a
-base (the chain's, where the group has one); the keys are sorted and ids
-are found with ``searchsorted``.  A group of order at least
-KEYED_MIN_ORDER is enumerated through it: the rows are the products of
-the chain's transversals, and a breadth-first walk over one
-left-multiplication id table per generator orders them as
-:func:`mulclose` would.  Filters that read only base columns (keyed
-membership, products, commutation and element orders) then cost
+base (the chain's, where the group has one), or where that overflows
+int64, the bytes of the base images; the keys are sorted and ids are
+found with ``searchsorted``.  A group of order at least
+KEYED_MIN_ORDER is enumerated straight into it: the rows are the products
+of the chain's transversals, and a breadth-first walk over one
+left-multiplication id table per generator, a frontier at a time, orders
+them as :func:`mulclose` would.  Filters that read only base columns
+(keyed membership, products, commutation and element orders) then cost
 O(|G| * |base|) instead of O(|G| * degree).
 
 Subgroups are held as id arrays.  ``ElementStore.mul`` gives the ids of
@@ -29,9 +29,13 @@ subgroup is ``np.sort(table[ids])``.  From those tables each group also
 builds, on first use, its class labels: for every id, the least id in
 that element's conjugacy class, which is all the class sweeps read.
 :meth:`Group.subgroup_of_ids` turns an id array back into a group whose
-store is a slice of the parent's, keyed at the parent's base, so no
-permutation is rebuilt; permutations remain at the edges: constructors,
-generators and witnesses.
+store is a slice of the parent's, keyed at the parent's base, sorted as
+``sorted()`` sorts permutations (:func:`sorting_order`).  ``Perm`` lists
+exist only at the edges: ``Group.element_list`` and ``element_set`` build
+them from the store's rows when read (constructors, witness and sifted
+generators, JSON, the audit's coset and chief-factor code), and a group
+below KEYED_MIN_ORDER, where :func:`mulclose` costs less than numpy, is
+listed first and stored from its list.
 
 :func:`mulclose` is the one closure routine on permutations and
 :func:`orbit` the one orbit routine on them (orbits of subgroups held as

@@ -483,3 +483,50 @@ def test_fixed_space_dim():
     m_partial = np.diag([1, 1, 4]) % 5
     assert fixed_space_dim([m_partial], 5) == 2
     assert fixed_space_dim([m_partial, m_inv], 5) == 0
+
+
+# -- sylow on store ids ------------------------------------------------
+
+
+def _sylow_by_perms_reference(G, p):
+    """sylow as it ran at every order on G's `Perm` list: its element set
+    and the generators it grew."""
+    target = p_part(G.order(), {p})
+    if target == 1:
+        return frozenset([G.identity()]), []
+    for seed in G.element_list():
+        n = seed.order()
+        if n % p == 0:
+            break
+    gens = [_p_element_part(seed, n, p)]
+    els = mulclose(gens)
+    while len(els) < target:
+        N = normalizer(G, Group.from_element_set(G.degree, els))
+        for y in sorted(N.element_set()):
+            n = y.order()
+            if n % p == 0 and _p_element_part(y, n, p) not in els:
+                gens.append(_p_element_part(y, n, p))
+                els = mulclose(gens)
+                break
+    return frozenset(els), gens
+
+
+@pytest.mark.parametrize("spec", ["S:4", "D:36", "PGL2:9", "A:7", "PSL2:13", "INV:15:16:klein", "DELPERM:5:S4"])
+def test_sylow_matches_the_perm_reference(spec):
+    """The same Sylow subgroup and generators as the `Perm` growth, on
+    both sides of KEYED_MIN_ORDER; the generators generate it."""
+    G = build_group(spec)
+    for p in sorted(factorize(G.order())):
+        P = sylow(G, p)
+        els, gens = _sylow_by_perms_reference(G, p)
+        assert P.element_set() == els and list(P.generators) == gens
+        assert Group(G.degree, P.generators).order() == P.order()
+
+
+@pytest.mark.parametrize("spec, p", [("S:4", 2), ("D:36", 3), ("PSL2:13", 2), ("DELPERM:5:A4", 5)])
+def test_subgroups_of_p_group_keep_generators(spec, p):
+    """Each subgroup of P keeps generators it was built from, which
+    generate exactly it."""
+    P = sylow(build_group(spec), p)
+    for Q in subgroups_of_p_group(P, p):
+        assert Group(P.degree, Q.generators).element_set() == Q.element_set()

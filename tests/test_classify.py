@@ -36,6 +36,7 @@ from oortlab.classify import (
 from oortlab.cli import bundled_manifest_text, parse_manifest
 from oortlab.construct import alternating, build_group, pgl2, psl2, psl3_4, symmetric
 from oortlab.errors import PreconditionFailed
+from oortlab.gf import factorize
 from oortlab.perm import KEYED_MIN_ORDER, Group, mulclose, orbit, perm_from_cycles
 
 
@@ -519,3 +520,83 @@ def test_conjugacy_class_matches_a_perm_orbit(spec):
     G = build_group(spec)
     for x in G.element_list()[:12]:
         assert conjugacy_class(G, x) == {g * x * g.inv() for g in G.element_list()}
+
+
+# -- the criterion on store ids -------------------------------------------
+
+
+def _inverting_outside_reference(N, C):
+    """The inversion test as it ran on `Perm`s at every order."""
+    cset = C.element_set()
+    return all(
+        y.order() == 2 and all(y * c * y == c.inv() for c in C.generators)
+        for y in N.element_list()
+        if y not in cset
+    )
+
+
+def test_inverting_outside_matches_the_perm_loop():
+    """For N = N_G(Q) and C = C_G(Q), Q running over subgroups of Sylow
+    subgroups, and for (G, Z(G)): the same answer as the `Perm` loop, with
+    passing and failing pairs on both sides of KEYED_MIN_ORDER."""
+    from oortlab.analysis import subgroups_of_p_group
+    from oortlab.classify import _inverting_outside
+
+    seen = set()
+    for spec in ["S:5", "PGL2:7", "PSL2:13", "A:7", "D:36", "INV:9:16:cyclic", "INV:15:16:klein", "DELPERM:5:S4"]:
+        G = build_group(spec)
+        pairs = [(G, center(G))]
+        for p in sorted(factorize(G.order())):
+            for Q in subgroups_of_p_group(sylow(G, p), p)[1:5]:
+                pairs.append((normalizer(G, Q), centralizer(G, Q)))
+        for N, C in pairs:
+            got = _inverting_outside(N, C)
+            assert got == _inverting_outside_reference(N, C), (spec, N.order(), C.order())
+            seen.add((N.order() >= KEYED_MIN_ORDER, got))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("spec, p", [("DELPERM:5:S4", 5), ("INV:15:16:klein", 3), ("PSL2:13", 7)])
+def test_criterion_lists_no_element_of_g(spec, p):
+    """The criterion runs on G's store: G's `Perm` list is never built."""
+    G = build_group(spec)
+    is_o_group_by_criterion(G, p)
+    assert G.order() >= KEYED_MIN_ORDER and G._element_list is None
+
+
+def _is_cyclic_by_p_reference(H, p):
+    """is_cyclic_by_p as it was: the element orders of H/O_p(H), built as
+    the coset action."""
+    from oortlab.analysis import o_p
+    from oortlab.perm import quotient_by
+
+    Q = o_p(H, p)
+    if Q.order() != p_part(H.order(), {p}):
+        return False, None
+    if Q.order() == H.order():
+        return True, (Q, 1)
+    Hq, _ = quotient_by(H, Q)
+    if any(x.order() == Hq.order() for x in Hq.element_list()):
+        return True, (Q, Hq.order())
+    return False, None
+
+
+@pytest.mark.parametrize("spec", ["S:5", "PSL2:7", "A:7", "D:36"])
+def test_is_cyclic_by_p_matches_the_quotient(spec):
+    """On subgroups generated by 1-3 random elements, at each catalogue
+    prime of the spec: the same answer, core and quotient order as the
+    coset action gives."""
+    primes = next(ps for s, ps, _ in parse_manifest(bundled_manifest_text()) if s == spec)
+    G = build_group(spec)
+    rng = random.Random(17)
+    answers = set()
+    for _ in range(8):
+        H = Group(G.degree, rng.choices(G.element_list(), k=rng.randint(1, 3)))
+        for p in primes:
+            ok, data = is_cyclic_by_p(H, p)
+            ref_ok, ref_data = _is_cyclic_by_p_reference(H, p)
+            assert ok == ref_ok and (data is None) == (ref_data is None)
+            if data is not None:
+                assert data[0].element_set() == ref_data[0].element_set() and data[1] == ref_data[1]
+            answers.add(ok)
+    assert answers == {False, True}

@@ -370,3 +370,57 @@ def test_validate_rejects_jobs_below_one(capsys, tmp_path, jobs):
     code, out, err = run(capsys, "validate", str(mf), "--jobs", jobs)
     assert code == EXIT_PARSE
     assert "--jobs" in err and out == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_validate_keeps_every_entry_past_the_cap(capsys, monkeypatch, tmp_path, jobs):
+    """An entry past the cap becomes an error record; the others keep
+    their verdicts, --out gets all three lines, and the run exits 4."""
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", "1000")
+    mf = tmp_path / "m.txt"
+    mf.write_text("C:4 ; p=2\nA:7 ; p=3\nS:4 ; p=3\n")
+    out_path = tmp_path / "o.jsonl"
+    code, out, _ = run(capsys, "validate", str(mf), "--out", str(out_path), "--jobs", jobs)
+    assert code == EXIT_CAP
+    docs = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [d["spec"] for d in docs] == ["C:4", "A:7", "S:4"]
+    assert docs[0]["is_o_group"] and docs[2]["is_o_group"]
+    assert docs[1] == {
+        "spec": "A:7",
+        "p": 3,
+        "error": "cap",
+        "detail": "group order 2520 exceeds ENUM_CAP 1000",
+    }
+    summary = json.loads(out)
+    assert (summary["positive"], summary["negative"], summary["errors"]) == (2, 0, 1)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_validate_error_kinds_and_precedence(capsys, monkeypatch, tmp_path, jobs):
+    """Parse and too-large entries give error records and exit 2, which an
+    expectation mismatch does not lower and a cap error raises to 4."""
+    mf = tmp_path / "m.txt"
+    mf.write_text("Q:8 ; p=2 ; expect=T\nFOO:3 ; p=2\nPSL2:128 ; p=2\n")
+    code, out, _ = run(capsys, "validate", str(mf), "--jobs", jobs)
+    assert code == EXIT_PARSE
+    docs = [json.loads(line) for line in out.splitlines()[:3]]
+    assert [d.get("error") for d in docs] == [None, "parse", "too-large"]
+    summary = json.loads(out[out.index("{\n") :])
+    assert summary["errors"] == 2 and summary["expect_mismatches"]
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", "100")
+    mf.write_text("FOO:3 ; p=2\nS:5 ; p=2\n")
+    code, _, _ = run(capsys, "validate", str(mf), "--jobs", jobs)
+    assert code == EXIT_CAP
+
+
+def test_validate_disagreement_outranks_errors(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        cli,
+        "is_o_group_by_criterion",
+        lambda G, p: OortVerdict(False, "CriterionOdd", "forced", ()),
+    )
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", "100")
+    mf = tmp_path / "m.txt"
+    mf.write_text("C:15 ; p=3\nS:5 ; p=2\nFOO:3 ; p=2\n")
+    code, _, _ = run(capsys, "validate", str(mf))
+    assert code == EXIT_DISAGREE

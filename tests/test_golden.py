@@ -26,7 +26,12 @@ series) and ``audit`` of PGL2:9/5 and PSL3_4/5 (G/R = G tested for
 simplicity, at order 20160) were recorded before normal closures moved
 onto unions of conjugacy classes over G's ids, and ``construct`` of S:9
 (order 362880, past ENUM_CAP; its derived subgroup A9 fits) at the same
-commit.  ``timing_ms`` varies from run to run and is left out.
+commit.  ``check`` of INV:15:16:klein/3 (C_G(Q) nonabelian) and
+PSL2:13/13 (an inversion test failing on an N of order 78) and ``audit``
+of INV:9:16:cyclic/3 (G=RD, inversion tests passing on an N of order
+144) were recorded before G's element list became an edge built only
+when read and sylow and the inversion test moved onto store ids.  ``timing_ms`` varies
+from run to run and is left out.
 """
 
 import json

@@ -309,3 +309,65 @@ def test_orbit():
     G = Group(6, [perm_from_cycles(6, [(0, 1, 2)]), perm_from_cycles(6, [(3, 4)])])
     assert G.orbit(0) == frozenset({0, 1, 2})
     assert G.orbit(5) == frozenset({5})
+
+
+# -- subgroups cut from ids, sorted by their own rows --------------------
+
+
+def _sift_generators_reference(degree, els):
+    """The sift of a sorted element list as `Group.generators` ran it when
+    every subgroup cut from ids held its `Perm` list: each element not yet
+    in the chain becomes a generator until the chain has len(els)."""
+    chain = StabilizerChain(degree, [])
+    gens = []
+    for e in els:
+        if chain.order() == len(els):
+            break
+        if not chain.contains(e):
+            gens.append(e)
+            chain._add(e, 0)
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["store-only", "listed"])
+@pytest.mark.parametrize("spec", ["S:4", "D:10", "PGL2:5", "A:7", "PSL2:13", "DELPERM:5:A4"])
+def test_subgroup_of_ids_sorts_and_sifts_as_sorted_perms(spec, listed):
+    """On both sides of KEYED_MIN_ORDER, and whether or not G has listed
+    its elements: the cut lists its elements as sorted() lists them and
+    sifts the generators the `Perm` sift gives, and cutting a store-only G
+    lists nothing of G."""
+    G, sampler = build_group(spec), build_group(spec)
+    if listed:
+        G.element_list()
+    rng = random.Random(21)
+    els = sampler.element_list()
+    subgroups = [Group(G.degree, rng.choices(els, k=rng.randint(1, 3))) for _ in range(4)]
+    for H in subgroups + [sampler]:
+        ids = G.store().ids_of(H.element_list()).tolist()
+        rng.shuffle(ids)
+        cut = G.subgroup_of_ids(np.array(ids))
+        expected = sorted(H.element_list())
+        assert cut.element_list() == expected
+        assert cut.generators == _sift_generators_reference(G.degree, expected)
+    assert (G._element_list is None) == (not listed and G.order() >= KEYED_MIN_ORDER)
+
+
+def test_subgroup_of_ids_sorts_rows_first_point_first():
+    """The powers of a 300-cycle sort by their first point, not their last,
+    and an image of 256 sorts after one of 1, as integers do (not as the
+    bytes of a little-endian int32 do)."""
+    cycle = perm_from_cycles(300, [range(300)])
+    G = Group(300, [cycle])
+    cut = G.subgroup_of_ids(np.arange(G.order()))
+    assert cut.element_list() == sorted(G.element_list())
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:7", "PSL2:13", "DELPERM:5:A4"])
+def test_inverse_base_matches_the_comparison(spec):
+    """The scattered inverse rows give the argmax of the (|G|, degree,
+    |base|) comparison the store used before, on G and on a cut."""
+    from oortlab.analysis import normalizer, sylow
+
+    G = build_group(spec)
+    for S in (G.store(), normalizer(G, sylow(G, 2)).store()):
+        assert np.array_equal(S.inverse_base(), (S.E[:, :, None] == S.base).argmax(axis=1))
