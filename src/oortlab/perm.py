@@ -447,11 +447,11 @@ def _enumerate(chain: StabilizerChain, gens: Sequence[Perm]) -> ElementStore:
     rows = np.arange(d, dtype=np.int32)[None]
     for level in reversed(chain.levels):
         reps = np.array(list(level.transversal.values()), dtype=np.int32)
-        rows = reps[:, rows].reshape(-1, d)
+        rows = np.take(reps, rows, axis=1).reshape(-1, d)  # reps[:, rows]
     S = ElementStore(rows, [level.base for level in chain.levels])
     n = len(rows)
     at_base = np.ascontiguousarray(rows[:, S.base])
-    succ = np.stack([S.lookup(S.key(np.array(a, dtype=np.int32)[at_base])) for a in gens], axis=1)
+    succ = np.stack([S.lookup(S.key(np.take(np.array(a, dtype=np.int32), at_base))) for a in gens], axis=1)
     # succ[g, i]: the row of gens[i] * g
     frontier = S.lookup(S.key(S.base))[None]
     seen = np.zeros(n, dtype=bool)
