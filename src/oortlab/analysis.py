@@ -240,8 +240,10 @@ def _extended(S, inside: np.ndarray, y: int, n: int) -> np.ndarray:
 
 def _p_parts(S, ids: np.ndarray, orders: np.ndarray, p: int) -> np.ndarray:
     """Ids of the p-parts of the elements with the given ids and orders:
-    each to the power of the p'-part of its order, by repeated squaring."""
-    exps = np.array([n // p_part(n, {p}) for n in orders.tolist()], dtype=np.int64)
+    each to the power of the p'-part of its order, by repeated squaring.
+    The p'-part is computed once per distinct order."""
+    distinct, which = np.unique(orders, return_inverse=True)
+    exps = np.array([n // p_part(n, {p}) for n in distinct.tolist()], dtype=np.int64)[which]
     out, base = np.zeros_like(ids), ids.copy()
     while exps.any():
         odd = (exps & 1).astype(bool)

@@ -14,12 +14,13 @@ the coset walk over N_G(Q) forms the products q t and the powers of t
 over the base columns for all t at once, and ``shape_of`` reads element
 orders from the store.  Permutations are built only at the edges: the
 generators the witnesses print, sifted from a candidate's own sorted
-``Perm`` list when they are read.
+rows when they are read.
 
 The criterion, the structure reports and the claim audit share one
 :class:`Context` per (G, p), holding P, the p'-core, the criterion
 verdict, the p-local subgroups they all read (the cyclic chain under a
-cyclic P and the Klein fours of P) and one memo of the normalizer and
+cyclic P and the Klein fours of P, each cut from P's store by id with the
+generators it is built from) and one memo of the normalizer and
 centralizer of each such subgroup, P included, keyed by the subgroup's
 keys at G's base.  On a G of order at least KEYED_MIN_ORDER the criterion
 never lists G: sylow, the normalizers and centralizers and the inversion
@@ -316,30 +317,40 @@ class Context:
 
     @cached_property
     def chain(self) -> list[Group]:
-        """The nontrivial subgroups of a cyclic P, from P down to order p."""
-        n = self.P.order()
+        """The nontrivial subgroups of a cyclic P, from P down to order p:
+        for a generator x of P, the one generated by x^(n/k) for each
+        order k, cut from P's store with that generator."""
+        P, n = self.P, self.P.order()
         if n == 1:
             return []
-        x = next(y for y in self.P.element_list() if y.order() == n)
-        out, k = [self.P], n // self.p
+        S = P.store()
+        x = Perm(S.E[np.flatnonzero(S.orders(np.arange(n)) == n)[0]].tolist())
+        out, k = [P], n // self.p
         while k > 1:
-            out.append(Group.from_element_set(self.G.degree, mulclose([x ** (n // k)])))
+            y = x ** (n // k)
+            out.append(P.subgroup_of_ids(S.ids_of(list(mulclose([y]))), [y]))
             k //= self.p
         return out
 
     @cached_property
     def kleins(self) -> list[Group]:
-        """All elementary abelian subgroups of order 4 in P."""
+        """All elementary abelian subgroups of order 4 in P, each cut from
+        P's store with the first pair of commuting involutions {x, y}, in
+        P's element order, that generates it."""
         P = self.P
         if P.order() % 4:
             return []
-        invs = [x for x in P.element_list() if x.order() == 2]
-        found: dict[frozenset[Perm], None] = {}
-        for i, x in enumerate(invs):
-            for y in invs[i + 1 :]:
-                if x * y == y * x:
-                    found.setdefault(frozenset([P.identity(), x, y, x * y]))
-        return [Group.from_element_set(P.degree, k) for k in found]
+        S = P.store()
+        invs = np.flatnonzero(S.orders(np.arange(P.order())) == 2)
+        xy = S.mul(invs[:, None], invs[None, :])
+        one = S.lookup(S.key(S.base))
+        found: dict[frozenset[int], tuple[int, int]] = {}
+        for i, j in zip(*np.nonzero(np.triu(xy == xy.T, 1))):
+            found.setdefault(frozenset(map(int, (one, invs[i], invs[j], xy[i, j]))), (invs[i], invs[j]))
+        return [
+            P.subgroup_of_ids(np.array(sorted(ids)), [Perm(S.E[g].tolist()) for g in pair])
+            for ids, pair in found.items()
+        ]
 
     @cached_property
     def R(self) -> Group:

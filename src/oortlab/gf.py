@@ -3,8 +3,8 @@
 Elements are encoded as integers 0..q-1 whose base-r digits are the
 polynomial coefficients (constant digit first).  The modulus is the
 lexicographically least irreducible monic polynomial of degree k over
-GF(r), found by trial division, so construction is deterministic and
-needs no tables.
+GF(r), found by trial division, so construction is deterministic.  The
+arithmetic reads tables built once per field (see :class:`Field`).
 """
 
 from __future__ import annotations
@@ -59,7 +59,14 @@ def _poly_digits(code: int, r: int, length: int) -> list[int]:
 
 
 class Field:
-    """GF(r^k) with integer-coded elements."""
+    """GF(r^k) with integer-coded elements.
+
+    The modulus and a primitive element are found with polynomial
+    arithmetic (:meth:`_poly_add`, :meth:`_poly_mul`).  From them, once
+    per field, come the tables the arithmetic reads: a q x q table of sums
+    and one of negatives, and the powers of the primitive element with
+    their logarithms, so that a product is exp[log a + log b] and an
+    inverse exp[-log a]."""
 
     def __init__(self, q: int):
         if q > MAX_Q:
@@ -71,6 +78,14 @@ class Field:
         self.modulus = self._least_irreducible(r, k)
         # Sanity: the multiplicative group must be cyclic of order q-1.
         self.primitive = self._find_primitive()
+        self._sum = [[self._poly_add(a, b) for b in range(q)] for a in range(q)]
+        self._neg = [row.index(0) for row in self._sum]
+        self._exp = [1]  # _exp[i] is primitive^i
+        for _ in range(q - 2):
+            self._exp.append(self._poly_mul(self._exp[-1], self.primitive))
+        self._log = [0] * q  # _log[0] is never read
+        for i, x in enumerate(self._exp):
+            self._log[x] = i
 
     # -- construction helpers ------------------------------------------
 
@@ -129,7 +144,7 @@ class Field:
         for a in range(1, self.q):
             x, n = a, 1
             while x != 1:
-                x = self.mul(x, a)
+                x = self._poly_mul(x, a)
                 n += 1
                 if n > target:
                     raise AssertionError("multiplicative order overflow")
@@ -137,15 +152,8 @@ class Field:
                 return a
         raise AssertionError(f"GF({self.q}): no primitive element found")
 
-    # -- arithmetic ----------------------------------------------------
-
-    def _check(self, *els: int) -> None:
-        for a in els:
-            if not (0 <= a < self.q):
-                raise ValueError(f"element {a} out of range for GF({self.q})")
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
+    def _poly_add(self, a: int, b: int) -> int:
+        """a + b, coefficient by coefficient mod r."""
         r = self.char
         out, mult = 0, 1
         for _ in range(self.deg):
@@ -155,21 +163,8 @@ class Field:
             mult *= r
         return out
 
-    def neg(self, a: int) -> int:
-        self._check(a)
-        r = self.char
-        out, mult = 0, 1
-        for _ in range(self.deg):
-            out += (-a % r) * mult
-            a //= r
-            mult *= r
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a, b)
+    def _poly_mul(self, a: int, b: int) -> int:
+        """a * b as polynomials over GF(r), reduced by the modulus."""
         r = self.char
         pa = _poly_digits(a, r, self.deg)
         pb = _poly_digits(b, r, self.deg)
@@ -180,14 +175,35 @@ class Field:
             out += c * r**i
         return out
 
+    # -- arithmetic ----------------------------------------------------
+
+    def _check(self, *els: int) -> None:
+        for a in els:
+            if not (0 <= a < self.q):
+                raise ValueError(f"element {a} out of range for GF({self.q})")
+
+    def add(self, a: int, b: int) -> int:
+        self._check(a, b)
+        return self._sum[a][b]
+
+    def neg(self, a: int) -> int:
+        self._check(a)
+        return self._neg[a]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        self._check(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a field")
-        for b in range(1, self.q):
-            if self.mul(a, b) == 1:
-                return b
-        raise AssertionError(f"GF({self.q}): {a} has no inverse")
+        return self._exp[-self._log[a] % (self.q - 1)]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

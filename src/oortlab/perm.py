@@ -41,12 +41,22 @@ listed first and stored from its list.
 :func:`orbit` the one orbit routine on them (orbits of subgroups held as
 id arrays under the conjugation tables are ``analysis.id_orbit``).
 
-Every product goes through ``Perm.__mul__``, one ``itemgetter`` call.
-The identity of each degree is one shared object, so ``is_identity`` is a
-single tuple comparison.  :class:`StabilizerChain` is incremental: each
-level stores the inverse of every transversal representative beside it,
-adding a generator only extends the transversal, and only the Schreier
-generators of the new (point, generator) pairs are sifted.
+Every product of two ``Perm`` tuples goes through ``Perm.__mul__``, one
+``itemgetter`` call.  The identity of each degree is one shared object, so
+``is_identity`` is a single tuple comparison.  :class:`StabilizerChain` is
+incremental: each level stores the inverse of every transversal
+representative beside it, adding a generator only extends the
+transversal, and only the Schreier generators of the new (point,
+generator) pairs are sifted.  It has two kernels, chosen by degree at
+ROWS_MIN_DEGREE (where a measured crossover put it): below, one pair at a
+time on ``Perm`` tuples; from there up, the same steps in batches on
+int32 image rows, which form a generation's representatives and a call's
+Schreier generators with one gather each.  The two build the same chain
+from the same generators (same base points, same representatives in the
+same order), so no store, key or output depends on the choice.  A store
+enumerated from a chain also takes from its inverse representatives the
+inverse images of the base points (:meth:`ElementStore.inverse_base`),
+which the normalizer filter reads.
 """
 
 from __future__ import annotations
@@ -220,17 +230,6 @@ def orbit(
         frontier = new
 
 
-class _Level:
-    __slots__ = ("base", "gens", "transversal", "inverses")
-
-    def __init__(self, base: int, degree: int):
-        self.base = base
-        self.gens: dict[Perm, Perm] = {}  # generator -> its inverse
-        # transversal[pt] maps base to pt; inverses[pt] is its inverse
-        self.transversal: dict[int, Perm] = {base: identity(degree)}
-        self.inverses: dict[int, Perm] = {base: identity(degree)}
-
-
 class StabilizerChain:
     """Deterministic incremental Schreier-Sims stabilizer chain.
 
@@ -244,19 +243,64 @@ class StabilizerChain:
     new generator and of every new point with every generator.  Each
     Schreier generator is sifted once and stays in the next level's group
     (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+
+    Two kernels run this one algorithm, chosen here by degree: on fewer
+    than ROWS_MIN_DEGREE points, :class:`_PermChain` holds the
+    representatives as ``Perm`` tuples; on more, :class:`_RowChain` holds
+    them as int32 numpy image rows and forms them, and the Schreier
+    generators, in batches.  Both give the same chain from the same
+    generators: the same base points, and the same representatives in the
+    same order, so every store, key and output is the same under either.
     """
+
+    def __new__(cls, degree: int, gens: Iterable[Perm] = ()):
+        if cls is StabilizerChain:
+            cls = _RowChain if degree >= ROWS_MIN_DEGREE else _PermChain
+        return super().__new__(cls)
 
     def __init__(self, degree: int, gens: Iterable[Perm]):
         self.degree = degree
-        self.levels: list[_Level] = []
+        self.levels: list = []
         for g in gens:
             self._add(g, 0)
 
     def order(self) -> int:
-        n = 1
-        for level in self.levels:
-            n *= len(level.transversal)
-        return n
+        return math.prod(level.size for level in self.levels)
+
+    def sift_generators(self, els, n: int) -> tuple[Perm, ...]:
+        """A small generating set of the group of order n whose elements
+        are ``els`` (``Perm`` tuples or int32 image rows): sifting them in
+        the given order through this chain (empty at the start), each one
+        not yet in the chain becomes a generator, until the chain reaches
+        the group order.  The chain is left as the chain of the returned
+        generators."""
+        raise NotImplementedError
+
+
+class _Level:
+    __slots__ = ("base", "gens", "transversal", "inverses")
+
+    def __init__(self, base: int, degree: int):
+        self.base = base
+        self.gens: dict[Perm, Perm] = {}  # generator -> its inverse
+        # transversal[pt] maps base to pt; inverses[pt] is its inverse
+        self.transversal: dict[int, Perm] = {base: identity(degree)}
+        self.inverses: dict[int, Perm] = {base: identity(degree)}
+
+    @property
+    def size(self) -> int:
+        return len(self.transversal)
+
+    def transversal_rows(self) -> np.ndarray:
+        return np.array(list(self.transversal.values()), dtype=np.int32)
+
+    def inverse_rows(self) -> np.ndarray:
+        return np.array(list(self.inverses.values()), dtype=np.int32)
+
+
+class _PermChain(StabilizerChain):
+    """The kernel on ``Perm`` tuples: one (point, generator) pair at a
+    time, sifting each Schreier generator as it is formed."""
 
     def contains(self, g: Perm) -> bool:
         return self._sift_from(g, 0).is_identity()
@@ -300,6 +344,190 @@ class StabilizerChain:
                 return g
             g = rep_inv * g
         return g
+
+    def sift_generators(self, els, n: int) -> tuple[Perm, ...]:
+        if isinstance(els, np.ndarray):  # permutations built as the sift reads them
+            rows = els
+            els = (Perm(rows[k].tolist()) for k in range(len(rows)))
+        gens: list[Perm] = []
+        for e in els:
+            if self.order() == n:
+                break
+            if not self.contains(e):
+                gens.append(e)
+                self._add(e, 0)
+        return tuple(gens)
+
+
+class _RowLevel:
+    """A level of a :class:`_RowChain`.  Row k of ``reps`` maps the base
+    to the k-th point of the orbit, in the order the orbit grew, and row k
+    of ``inverses`` is its inverse; ``index[pt]`` is the row of pt, or -1
+    off the orbit.  Rows past ``size`` are spare room."""
+
+    __slots__ = ("base", "gens", "gen_inverses", "images", "points", "reps", "inverses", "index", "size")
+
+    def __init__(self, base: int, ident: np.ndarray):
+        self.base = base
+        self.gens = ident[:0].reshape(0, len(ident))
+        self.gen_inverses = self.gens
+        self.images: list[list[int]] = []  # the generator rows as lists, for the walk
+        self.points = [base]  # the orbit, point k at row k
+        self.reps = ident[None].copy()
+        self.inverses = ident[None].copy()
+        self.index = np.full(len(ident), -1, dtype=np.intp)
+        self.index[base] = 0
+        self.size = 1
+
+    def transversal_rows(self) -> np.ndarray:
+        return self.reps[: self.size]
+
+    def inverse_rows(self) -> np.ndarray:
+        return self.inverses[: self.size]
+
+    def append(self, reps: np.ndarray, inverses: np.ndarray) -> None:
+        """Add the representatives of new orbit points, doubling the room
+        when it runs out (an orbit has at most degree points)."""
+        n, m = self.size, len(reps)
+        if n + m > len(self.reps):
+            room = min(max(2 * len(self.reps), n + m), self.reps.shape[1])
+            self.reps = np.concatenate([self.reps[:n], np.empty((room - n, self.reps.shape[1]), np.int32)])
+            self.inverses = np.concatenate([self.inverses[:n], np.empty_like(self.reps[n:])])
+        self.reps[n : n + m] = reps
+        self.inverses[n : n + m] = inverses
+        self.size = n + m
+
+
+# Image rows past this many entries are formed and sifted in slices, so
+# that the Schreier generators of one call never hold more than one slice.
+_SLICE_ENTRIES = 1 << 18
+
+
+class _RowChain(StabilizerChain):
+    """The kernel on int32 image rows.  One call of ``_add`` runs the
+    :class:`_PermChain` steps in the same order, in batches:
+
+    - the orbit grows by a breadth-first walk over points, a generation
+      at a time, its pairs in the order point, then generator; a pair
+      whose image is new and first in its generation is the tree edge
+      that gives that point its representative, and every new point's
+      representative and inverse come from one gather each;
+    - the Schreier generators of every other pair are formed together
+      (in slices of _SLICE_ENTRIES) and sifted through the lower levels
+      together; the first with a nontrivial residue has that residue
+      added one level down, and the rest are sifted again through the
+      grown chain, as the one-at-a-time sift would have met them."""
+
+    def __init__(self, degree: int, gens: Iterable[Perm]):
+        self._ident = np.arange(degree, dtype=np.int32)
+        super().__init__(degree, gens)
+
+    def contains(self, g: Perm) -> bool:
+        return bool((self._strip(np.array([g], dtype=np.int32), 0) == self._ident).all())
+
+    def _add(self, g, i: int) -> None:
+        g = np.asarray(g, dtype=np.int32)
+        moved = np.flatnonzero(g != self._ident)
+        if not len(moved):
+            return
+        if i == len(self.levels):
+            self.levels.append(_RowLevel(int(moved[0]), self._ident))
+        level = self.levels[i]
+        row = g.tolist()
+        if row in level.images:
+            return
+        level.images.append(row)
+        g_inv = np.empty_like(g)
+        g_inv[g] = self._ident
+        level.gens = np.vstack([level.gens, g])
+        level.gen_inverses = np.vstack([level.gen_inverses, g_inv])
+        d, k, images, points = self.degree, len(level.gens), level.images, level.points
+        index = level.index.tolist()
+        flat_gens = level.gens.ravel()
+        # old points with the new generator, then each generation's new
+        # points with every generator
+        todo, n_old = [(r, (k - 1,)) for r in range(len(points))], len(points)
+        schreier: list[tuple[int, int, int]] = []  # (row of the point, generator, row of its image)
+        while todo:
+            tree: list[tuple[int, int]] = []
+            start = len(points)
+            for r, gens in todo:
+                pt = points[r]
+                for s in gens:
+                    img = images[s][pt]
+                    j = index[img]
+                    if j < 0:
+                        index[img] = len(points)
+                        points.append(img)
+                        tree.append((r, s))
+                    else:
+                        schreier.append((r, s, j))
+            if tree:
+                at, by = np.array(tree).T
+                level.append(
+                    flat_gens[by[:, None] * d + level.reps[at]],  # s * rep
+                    level.inverses.ravel()[at[:, None] * d + level.gen_inverses[by]],  # rep^-1 * s^-1
+                )
+            todo = [(r, range(k)) for r in range(start, len(points))]
+        level.index[points[n_old:]] = np.arange(n_old, len(points))
+        if not schreier:
+            return
+        at, by, to = np.array(schreier).T
+        flat_inverses = level.inverses.ravel()
+        step = max(1, _SLICE_ENTRIES // d)
+        for s in range(0, len(at), step):
+            s_rep = flat_gens[by[s : s + step, None] * d + level.reps[at[s : s + step]]]
+            moved = (s_rep != level.reps[to[s : s + step]]).any(axis=1)  # else trivial
+            rows = flat_inverses[to[s : s + step][moved, None] * d + s_rep[moved]]  # trans[img]^-1 * s * rep
+            self._sift_in(rows, i + 1)
+
+    def _sift_in(self, rows: np.ndarray, i: int) -> None:
+        """Sift the rows in order from level i; each nontrivial residue is
+        added at level i, and the rows after it are sifted again."""
+        while len(rows):
+            residues = self._strip(rows, i)
+            hits = np.flatnonzero((residues != self._ident).any(axis=1))
+            if not len(hits):
+                return
+            self._add(residues[hits[0]], i)
+            rows = rows[hits[0] + 1 :]
+
+    def _strip(self, rows: np.ndarray, i: int) -> np.ndarray:
+        """The residues of the rows after stripping through levels i,
+        i+1, ...: a row stops at the first level whose orbit misses the
+        image of its base point."""
+        d = self.degree
+        rows = rows.copy()
+        live = np.arange(len(rows))
+        for level in self.levels[i:]:
+            to = level.index[rows[live, level.base]]
+            live, to = live[to >= 0], to[to >= 0]
+            rows[live] = level.inverses.ravel()[to[:, None] * d + rows[live]]
+        return rows
+
+    def sift_generators(self, els, n: int) -> tuple[Perm, ...]:
+        gens: list[Perm] = []
+        start, step = 0, 16  # a generating set is usually among the first elements
+        while self.order() < n and start < len(els):
+            rows = np.asarray(els[start : start + step], dtype=np.int32)
+            hits = np.flatnonzero((self._strip(rows, 0) != self._ident).any(axis=1))
+            if not len(hits):
+                start, step = start + step, 2 * step
+                continue
+            gens.append(Perm(rows[hits[0]].tolist()))
+            self._add(rows[hits[0]], 0)
+            start += int(hits[0]) + 1
+        return tuple(gens)
+
+
+# Chains on at least this many points run on image rows (:class:`_RowChain`),
+# smaller ones on `Perm` tuples.  Building each catalogue group's chain with
+# both kernels, the rows lost at every degree up to 64 (C:48 0.16 -> 0.65 ms,
+# A:7 0.14 -> 1.6 ms) and won from 72 up (INV:9:8:cyclic 1.15 -> 0.87 ms,
+# DELPERM:7:A4 30.0 -> 8.9 ms); the catalogue has no degree between 80 and
+# 120, and moving this line from 100 down to 72 moved no workload's
+# requests/s by more than 0.2% (BENCH_12.json).
+ROWS_MIN_DEGREE = 100
 
 
 # Groups of smaller order are enumerated by mulclose, and fewer elements
@@ -391,13 +619,12 @@ class ElementStore:
         return orders
 
     def inverse_base(self) -> np.ndarray:
-        """g^-1(b) for every element g (rows) and base point b (columns):
-        g^-1(g(x)) = x scattered into each row."""
+        """g^-1(b) for every element g (rows) and base point b (columns).
+        A store enumerated from its chain has them from the inverse
+        representatives (:func:`_enumerate`); any other finds, for each
+        base point b, the point that each row maps to b."""
         if self._inverse_base is None:
-            n, d = self.E.shape
-            inverse = np.empty_like(self.E)
-            inverse[np.arange(n)[:, None], self.E] = np.arange(d, dtype=self.E.dtype)
-            self._inverse_base = inverse[:, self.base]
+            self._inverse_base = (self.E[:, None, :] == self.base[:, None]).argmax(axis=2)
         return self._inverse_base
 
     def restricted(self, ids: Sequence[int]) -> "ElementStore":
@@ -443,12 +670,16 @@ def _enumerate(chain: StabilizerChain, gens: Sequence[Perm]) -> ElementStore:
     element's generators in order, contribute their first occurrences that
     no earlier frontier holds.  The walk reaching every row proves that
     gens generate the chain's group."""
-    d = chain.degree
+    d, base = chain.degree, [level.base for level in chain.levels]
     rows = np.arange(d, dtype=np.int32)[None]
     for level in reversed(chain.levels):
-        reps = np.array(list(level.transversal.values()), dtype=np.int32)
-        rows = np.take(reps, rows, axis=1).reshape(-1, d)  # reps[:, rows]
-    S = ElementStore(rows, [level.base for level in chain.levels])
+        rows = np.take(level.transversal_rows(), rows, axis=1).reshape(-1, d)  # reps[:, rows]
+    # row (i_1, ..., i_k) is u_1 u_2 ... u_k, whose inverse maps b to
+    # u_k^-1(... u_1^-1(b)): formed at the base points only
+    inverse_base = np.array(base, dtype=np.int32)[None]
+    for level in chain.levels:
+        inverse_base = np.take(level.inverse_rows(), inverse_base, axis=1).swapaxes(0, 1).reshape(-1, len(base))
+    S = ElementStore(rows, base)
     n = len(rows)
     at_base = np.ascontiguousarray(rows[:, S.base])
     succ = np.stack([S.lookup(S.key(np.take(np.array(a, dtype=np.int32), at_base))) for a in gens], axis=1)
@@ -472,7 +703,7 @@ def _enumerate(chain: StabilizerChain, gens: Sequence[Perm]) -> ElementStore:
         raise AssertionError(f"enumeration found {len(walk)} elements, chain says {n}")
     position = np.empty(n, dtype=np.intp)
     position[walk] = np.arange(n)
-    S.E, S.ids = rows[walk], position[S.ids]
+    S.E, S.ids, S._inverse_base = rows[walk], position[S.ids], inverse_base[walk]
     return S
 
 
@@ -518,7 +749,8 @@ class Group:
         if self._generators is None:
             # the sift's chain is the chain of the sifted generators
             self._chain = StabilizerChain(self.degree, [])
-            self._generators = _sift_generators(self._chain, self.element_list(), self.order())
+            els = self._element_list if self._element_list is not None else self._store.E
+            self._generators = self._chain.sift_generators(els, self.order())
         return self._generators
 
     @property
@@ -612,9 +844,7 @@ class Group:
         if self._small_generators is None:
             chain = StabilizerChain(self.degree, [])  # a scratch chain: G keeps its own
             rows = self.store().E
-            rows = rows[sorting_order(rows)]  # sorted as permutations, built as the sift reads them
-            els = (Perm(rows[i].tolist()) for i in range(len(rows)))
-            self._small_generators = _sift_generators(chain, els, self.order())
+            self._small_generators = chain.sift_generators(rows[sorting_order(rows)], self.order())
         return self._small_generators
 
     def conjugation_tables(self) -> list[np.ndarray]:
@@ -666,9 +896,10 @@ class Group:
         """The subgroup whose elements have the given ids, which must be
         closed under products.  Like a group from :meth:`from_element_set`
         it lists its elements sorted (:func:`sorting_order`) and, unless
-        they are given, sifts its generators from that list when they are
-        read.  Its store takes its rows from this group's store, keyed at
-        this group's base; its permutations are built only when read."""
+        they are given, sifts its generators in that order when they are
+        read, from its rows unless it is listed.  Its store takes its rows
+        from this group's store, keyed at this group's base; its
+        permutations are built only when read."""
         S, els = self.store(), self._element_list
         H = Group(self.degree, (), check=False)
         H._generators = None if generators is None else tuple(generators)
@@ -730,22 +961,6 @@ def _base_of(els: Sequence[Perm]) -> list[int]:
         base.append(b)
         rest = [h for h in rest if h[b] == b]
     return base
-
-
-def _sift_generators(chain: StabilizerChain, els: Iterable[Perm], n: int) -> tuple[Perm, ...]:
-    """A small generating set of the group of order n whose elements are
-    ``els``: sifting them in the given order through the incremental chain
-    (empty at the start), each one not yet in the chain becomes a
-    generator, until the chain reaches the group order.  The chain is left
-    as the chain of the returned generators."""
-    gens: list[Perm] = []
-    for e in els:
-        if chain.order() == n:
-            break
-        if not chain.contains(e):
-            gens.append(e)
-            chain._add(e, 0)
-    return tuple(gens)
 
 
 class QuotientMap:

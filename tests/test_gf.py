@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oortlab.errors import NotPrimePower, TooLarge
-from oortlab.gf import Field, factorize, field, is_prime, prime_power
+from oortlab.gf import MAX_Q, Field, factorize, field, is_prime, prime_power
 
 FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 64]
 
@@ -66,6 +66,28 @@ def test_pow_and_div():
     assert F.pow(a, 24) == 1
     assert F.pow(a, -1) == F.inv(a)
     assert F.div(F.mul(3, 7), 7) == 3
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, MAX_Q + 1) if len(factorize(q)) == 1])
+def test_tables_match_the_polynomial_arithmetic(q):
+    """The table-driven arithmetic against the polynomial arithmetic the
+    tables are built from, on every pair of elements of every field."""
+    F = field(q)
+    for a in range(q):
+        assert F._poly_add(a, F.neg(a)) == 0
+        if a:
+            assert F._poly_mul(a, F.inv(a)) == 1
+        for b in range(q):
+            assert F.add(a, b) == F._poly_add(a, b)
+            assert F.mul(a, b) == F._poly_mul(a, b)
+
+
+def test_out_of_range_elements():
+    F = field(9)
+    for bad in (-1, 9):
+        for op in (lambda: F.add(bad, 1), lambda: F.mul(1, bad), lambda: F.inv(bad), lambda: F.neg(bad)):
+            with pytest.raises(ValueError):
+                op()
 
 
 def test_zero_division():

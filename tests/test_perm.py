@@ -1,5 +1,6 @@
 """Permutation and group engine tests."""
 
+import math
 import os
 import random
 
@@ -128,6 +129,94 @@ def test_chain_of_random_subgroups(spec):
             assert chain.contains(x) == (x in H)
         sifted = Group.from_element_set(G.degree, H).generators
         assert Group(G.degree, sifted).order() == len(H)
+
+
+# -- the two chain kernels ----------------------------------------------
+
+
+def _kernel_parity(degree, gens, probes):
+    """Both kernels, called directly, build the same chain from gens: the
+    same base points, the same transversal rows in the same order and the
+    same order, and they agree on the membership of every probe."""
+    by_perms, by_rows = perm._PermChain(degree, gens), perm._RowChain(degree, gens)
+    assert [lv.base for lv in by_perms.levels] == [lv.base for lv in by_rows.levels]
+    for a, b in zip(by_perms.levels, by_rows.levels):
+        assert np.array_equal(a.transversal_rows(), b.transversal_rows())
+        assert np.array_equal(a.inverse_rows(), b.inverse_rows())
+    assert by_perms.order() == by_rows.order()
+    for x in probes:
+        assert by_perms.contains(x) == by_rows.contains(x)
+    return by_rows
+
+
+def _word_elements(gens, rng, k):
+    """k elements of the group generated by gens, as random words."""
+    return [math.prod(rng.choices(gens, k=rng.randint(1, 12)), start=identity(len(gens[0]))) for _ in range(k)]
+
+
+def _probes(degree, gens, rng):
+    """Members of the group generated by gens (random words) and, mostly,
+    non-members: random permutations, and members times a random
+    transposition."""
+    members = _word_elements(gens, rng, 20)
+    strays = [Perm(rng.sample(range(degree), degree)) for _ in range(10)]
+    for g in members[:10]:
+        a, b = rng.sample(range(degree), 2)
+        strays.append(g * perm_from_cycles(degree, [(a, b)]))
+    return members, strays
+
+
+WIDE_SPECS = [
+    "C:48", "C:64", "INV:5:8:cyclic", "INV:5:8:klein", "INV:9:8:cyclic", "INV:15:8:klein",
+    "INV:3:16:cyclic", "INV:5:16:klein", "INV:9:16:cyclic", "INV:9:16:klein", "INV:15:16:cyclic",
+    "INV:15:16:klein", "DELPERM:5:A4", "DELPERM:5:S4", "DELPERM:5:S4:sign", "DELPERM:7:A4",
+    "DELPERM:7:S4", "DELPERM:7:S4:sign",
+]  # every catalogue spec of degree >= 40
+
+
+@pytest.mark.parametrize("spec", WIDE_SPECS)
+def test_kernels_build_the_same_chain(spec):
+    G = build_group(spec)
+    assert G.degree >= 40
+    members, strays = _probes(G.degree, G.generators, random.Random(spec))
+    chain = _kernel_parity(G.degree, G.generators, members + strays)
+    assert chain.order() == G.order()
+    assert all(chain.contains(x) for x in members)
+    assert not any(chain.contains(x) for x in strays[:10])
+
+
+def _left_regular_s5():
+    S5 = build_group("S:5")
+    els = S5.element_list()
+    index = {x: i for i, x in enumerate(els)}
+    return [Perm(index[s * x] for x in els) for s in S5.generators]
+
+
+@st.composite
+def wide_subgroups(draw):
+    """1-3 random elements (words in the generators) of a group of degree
+    120-343, and probes of the same degree."""
+    spec = draw(st.sampled_from(["INV:15:16:klein", "DELPERM:5:S4", "DELPERM:7:A4", "S:5 left-regular"]))
+    gens = _left_regular_s5() if spec == "S:5 left-regular" else list(build_group(spec).generators)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return spec, _word_elements(gens, rng, draw(st.integers(1, 3))), rng
+
+
+@given(wide_subgroups())
+@settings(max_examples=12, deadline=None)
+def test_kernels_agree_on_random_subgroups(case):
+    spec, gens, rng = case
+    degree = len(gens[0])
+    members, strays = _probes(degree, gens, rng)
+    chain = _kernel_parity(degree, gens, members + strays)
+    assert all(chain.contains(x) for x in members)
+    if chain.order() <= 1000:
+        assert chain.order() == len(mulclose(gens))
+
+
+def test_chain_picks_its_kernel_by_degree():
+    assert type(StabilizerChain(perm.ROWS_MIN_DEGREE - 1, [])) is perm._PermChain
+    assert type(StabilizerChain(perm.ROWS_MIN_DEGREE, [])) is perm._RowChain
 
 
 def test_degrees_one_and_two():
@@ -318,7 +407,7 @@ def _sift_generators_reference(degree, els):
     """The sift of a sorted element list as `Group.generators` ran it when
     every subgroup cut from ids held its `Perm` list: each element not yet
     in the chain becomes a generator until the chain has len(els)."""
-    chain = StabilizerChain(degree, [])
+    chain = perm._PermChain(degree, [])
     gens = []
     for e in els:
         if chain.order() == len(els):
@@ -330,12 +419,13 @@ def _sift_generators_reference(degree, els):
 
 
 @pytest.mark.parametrize("listed", [False, True], ids=["store-only", "listed"])
-@pytest.mark.parametrize("spec", ["S:4", "D:10", "PGL2:5", "A:7", "PSL2:13", "DELPERM:5:A4"])
+@pytest.mark.parametrize("spec", ["S:4", "D:10", "PGL2:5", "A:7", "PSL2:13", "DELPERM:5:A4", "INV:15:16:klein"])
 def test_subgroup_of_ids_sorts_and_sifts_as_sorted_perms(spec, listed):
     """On both sides of KEYED_MIN_ORDER, and whether or not G has listed
     its elements: the cut lists its elements as sorted() lists them and
-    sifts the generators the `Perm` sift gives, and cutting a store-only G
-    lists nothing of G."""
+    sifts the generators the `Perm` sift gives (through the row kernel's
+    batched sift on INV:15:16:klein), and cutting a store-only G lists
+    nothing of G."""
     G, sampler = build_group(spec), build_group(spec)
     if listed:
         G.element_list()
@@ -362,12 +452,16 @@ def test_subgroup_of_ids_sorts_rows_first_point_first():
     assert cut.element_list() == sorted(G.element_list())
 
 
-@pytest.mark.parametrize("spec", ["S:4", "A:7", "PSL2:13", "DELPERM:5:A4"])
+@pytest.mark.parametrize("spec", ["S:4", "A:7", "PSL2:13", "DELPERM:5:A4", "INV:15:16:klein"])
 def test_inverse_base_matches_the_comparison(spec):
-    """The scattered inverse rows give the argmax of the (|G|, degree,
-    |base|) comparison the store used before, on G and on a cut."""
+    """The inverse base images, from the chain's inverse representatives
+    on an enumerated G and by comparison on a cut, are those of the full
+    inverse rows scattered from each row."""
     from oortlab.analysis import normalizer, sylow
 
     G = build_group(spec)
     for S in (G.store(), normalizer(G, sylow(G, 2)).store()):
-        assert np.array_equal(S.inverse_base(), (S.E[:, :, None] == S.base).argmax(axis=1))
+        n, d = S.E.shape
+        inverse = np.empty_like(S.E)
+        inverse[np.arange(n)[:, None], S.E] = np.arange(d)
+        assert np.array_equal(S.inverse_base(), inverse[:, S.base])
