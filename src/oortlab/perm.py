@@ -274,7 +274,7 @@ class StabilizerChain:
     same order, so every store, key and output is the same under either.
     """
 
-    def __new__(cls, degree: int, gens: Iterable[Perm] = ()):
+    def __new__(cls, degree: int, gens: Iterable[Perm]):
         if cls is StabilizerChain:
             cls = _RowChain if degree >= ROWS_MIN_DEGREE else _PermChain
         return super().__new__(cls)
