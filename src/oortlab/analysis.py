@@ -14,8 +14,10 @@ at least KEYED_MIN_ORDER none of them builds G's ``Perm`` list.
 Conjugacy classes are read off G's class labels (``Group.class_labels``).
 ``o_pi`` and the one minimal-normal scan behind ``minimal_normal_subgroups``
 and ``chief_series_within`` build unions of classes, masks over G's ids
-closed under products by :func:`_close`; ``normal_closure`` never lists
-G.  :func:`id_orbit` walks the orbit of a subgroup held as sorted ids
+closed under products by :func:`_close`; ``o_pi`` reads its class
+representatives' orders from G's store, and the scan orders its masks by
+the ranks of their ids in G's sorted rows, so none of them lists G.
+``normal_closure`` grows one stabilizer chain and never lists G either.  :func:`id_orbit` walks the orbit of a subgroup held as sorted ids
 under G's conjugation tables, and ``subgroups_of_p_group`` builds the
 subgroup lattice of P over P's multiplication table of ids; each subgroup
 keeps the generators it was built from.
@@ -35,6 +37,7 @@ from .perm import (
     KEYED_MIN_ORDER,
     Group,
     Perm,
+    StabilizerChain,
     enum_cap,
     identity,
     is_normal,
@@ -140,40 +143,48 @@ def _close(G: Group, ids, below, reps, cap: Optional[int] = None) -> Optional[np
     A round multiplies what the last one added by those c and adds the
     products' classes; a c with a older than c's class is conjugate to c a,
     which a round covers (Holt, Eick & O'Brien, *Handbook of Computational
-    Group Theory*, 2005)."""
+    Group Theory*, 2005).  The classes met so far are marked in an array
+    indexed by class label."""
     S, labels = G.store(), G.class_labels()
-    new = np.isin(labels, labels[ids]) & ~below
+    hit = np.zeros(len(labels), dtype=bool)  # hit[c]: class c is in the closure
+    hit[labels[ids]] = True
+    new = hit[labels] & ~below
     mask = below | new
     while new.any():
         if cap is not None and np.count_nonzero(mask) > cap:
             return None
-        products = S.mul(np.flatnonzero(new)[:, None], reps[mask[reps]])
-        grown = mask | np.isin(labels, labels[products])
+        hit[labels[S.mul(np.flatnonzero(new)[:, None], reps[mask[reps]])]] = True
+        grown = mask | hit[labels]
         new, mask = grown & ~mask, grown
     return mask
 
 
 def normal_closure(G: Group, gens: Sequence[Perm], cap: Optional[int] = None) -> Optional[Group]:
-    """<gens^G>, grown over stabilizer chains so that G, which may be past
-    ENUM_CAP, is never listed: each conjugate of a generator by one of G's
-    that the closure so far lacks becomes a generator.  Returns None once
+    """<gens^G>, grown over one stabilizer chain so that G, which may be
+    past ENUM_CAP, is never listed: each conjugate of a generator by one of
+    G's that the closure so far lacks becomes a generator, and extends the
+    chain, which thus is the chain of those generators.  Returns None once
     the closure exceeds cap elements; without a cap, raises CapExceeded
     past ENUM_CAP, like :func:`mulclose`.  Raises NonMember for a generator
     outside G."""
     work = [g for g in map(Perm, gens) if not g.is_identity()]
     if not all(map(G.contains, work)):
         raise NonMember("a generator of the normal closure is not in the group")
-    N = Group(G.degree, [])
+    if not work:
+        return Group(G.degree, [])
+    pairs = [(g, g.inv()) for g in G.generators]
+    chain, found = StabilizerChain(G.degree, []), []
     for w in work:  # grows as conjugates are queued
-        if N.contains(w):
+        if chain.contains(w):
             continue
-        N = Group(G.degree, [*N.generators, w])
-        if cap is not None and N.order() > cap:
+        chain.extend(w)
+        found.append(w)
+        if cap is not None and chain.order() > cap:
             return None
-        if cap is None and N.order() > enum_cap():
+        if cap is None and chain.order() > enum_cap():
             raise CapExceeded(f"normal closure exceeds ENUM_CAP {enum_cap()}")
-        work.extend(g * w * g.inv() for g in G.generators)
-    return N
+        work.extend(g * w * g_inv for g, g_inv in pairs)
+    return Group.from_chain(chain, found)
 
 
 def p_part(n: int, primes: Iterable[int]) -> int:
@@ -186,19 +197,22 @@ def p_part(n: int, primes: Iterable[int]) -> int:
 
 def o_pi(G: Group, pi: Iterable[int]) -> Group:
     """O_pi(G), the largest normal pi-subgroup: the join of the normal
-    closures that are pi-groups, so G itself when |G| is a pi-number.  Else
-    each class outside the core (one id each, :func:`_class_reps`) joins it
-    when the closure of the two (:func:`_close`, capped at the pi-part of
-    |G|) is a pi-group."""
+    closures that are pi-groups, so G itself when |G| is a pi-number and 1
+    when it is a pi'-number.  Else each class of pi-elements outside the
+    core (one id each, :func:`_class_reps`, its order read from G's store)
+    joins it when the closure of the two (:func:`_close`, capped at the
+    pi-part of |G|) is a pi-group."""
     pi = frozenset(pi)
     cap = p_part(G.order(), pi)
     if cap == G.order():
         return G
-    els, core, reps = G.element_list(), np.arange(G.order()) == 0, _class_reps(G)
-    for x in reps.tolist():
+    if cap == 1:
+        return Group(G.degree, [])
+    core, reps = np.arange(G.order()) == 0, _class_reps(G)
+    for x, n in zip(reps.tolist(), G.store().orders(reps).tolist()):
         if np.count_nonzero(core) == cap:
             break
-        if core[x] or any(p not in pi for p in factorize(els[x].order())):
+        if core[x] or any(p not in pi for p in factorize(n)):
             continue
         joined = _close(G, [x], core, reps, cap)
         if joined is not None and all(p in pi for p in factorize(np.count_nonzero(joined))):
@@ -397,9 +411,11 @@ def _commutator(G: Group, H: Group) -> Group:
     """[G, H] for H normal in G: the normal closure in G of the commutators
     of generators."""
     comms = []
+    h_pairs = [(b, b.inv()) for b in H.generators]
     for a in G.generators:
-        for b in H.generators:
-            c = a * b * a.inv() * b.inv()
+        a_inv = a.inv()
+        for b, b_inv in h_pairs:
+            c = a * b * a_inv * b_inv
             if not c.is_identity():
                 comms.append(c)
     nc = normal_closure(G, comms)
@@ -462,12 +478,19 @@ def _minimal_normal_above(G: Group, below, inside, cap: Optional[int] = None) ->
     """The minimal normal subgroups of G above ``below`` and inside
     ``inside`` (normal, as masks over G's ids), as masks sorted by element
     list.  Each is the closure (:func:`_close`) of ``below`` and any one
-    class in it outside ``below``; closures past the cap are dropped."""
-    els, reps = G.element_list(), _class_reps(G)
+    class in it outside ``below``; closures past the cap are dropped.  Two
+    or more are sorted by the sorted ranks of their ids in G's sorted row
+    order (:func:`sorting_order`), which is the order of their sorted
+    element lists."""
+    reps = _class_reps(G)
     closures = [_close(G, [x], below, reps, cap) for x in reps[inside[reps] & ~below[reps]]]
     masks = list({m.tobytes(): m for m in closures if m is not None}.values())
     minimal = [m for m in masks if not any(o is not m and not (o & ~m).any() for o in masks)]
-    return sorted(minimal, key=lambda m: sorted(map(els.__getitem__, np.flatnonzero(m).tolist())))
+    if len(minimal) < 2:
+        return minimal
+    rank = np.empty(G.order(), dtype=np.intp)
+    rank[sorting_order(G.store().E)] = np.arange(G.order())
+    return sorted(minimal, key=lambda m: np.sort(rank[m]).tolist())
 
 
 def minimal_normal_subgroups(G: Group) -> list[Group]:

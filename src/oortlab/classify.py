@@ -24,7 +24,11 @@ generators it is built from) and one memo of the normalizer and
 centralizer of each such subgroup, P included, keyed by the subgroup's
 keys at G's base.  On a G of order at least KEYED_MIN_ORDER the criterion
 never lists G: sylow, the normalizers and centralizers and the inversion
-test read G's store.  The definition route never takes a context.
+test read G's store.  Nor does the audit: the reports read element orders
+and memberships from stores and ids, G/R is the coset action on G's ids,
+and ``basic1`` compares subgroups by their keys and tests each stream
+candidate against one orbit of N_G(P)'s ids.  The definition route never
+takes a context.
 """
 
 from __future__ import annotations
@@ -404,15 +408,21 @@ def is_o_group_by_criterion(G: Group, p: int) -> OortVerdict:
     return Context(G, p).verdict
 
 
+def _orders_outside(N: Group, C: Group) -> np.ndarray:
+    """The orders of the elements of N outside its subgroup C, from N's
+    store."""
+    S = N.store()
+    outside = np.ones(N.order(), dtype=bool)
+    outside[S.lookup(S.keys_of(C))] = False
+    return S.orders(np.flatnonzero(outside))
+
+
 def _inverting_outside(N: Group, C: Group) -> bool:
     """Whether every element of N outside its subgroup C is an involution
     inverting C.  The involutions suffice: for y outside C and c in C, y c
     lies outside C too, so (y c)^2 = 1, which for an involution y is
-    y c y = c^-1.  The orders come from N's store."""
-    S = N.store()
-    outside = np.ones(N.order(), dtype=bool)
-    outside[S.lookup(S.keys_of(C))] = False
-    return bool((S.orders(np.flatnonzero(outside)) == 2).all())
+    y c y = c^-1."""
+    return bool((_orders_outside(N, C) == 2).all())
 
 
 # -- quotient identification --------------------------------------------
@@ -592,12 +602,10 @@ def _a4_embeds(ctx: Context) -> bool:
     """A4 <= G iff some Klein four subgroup of a fixed Sylow 2-subgroup is
     normalized but not centralized by an element of order 3 (sufficient by
     Sylow conjugacy)."""
-    for K in ctx.kleins:
-        cset = ctx.local(centralizer, K).element_set()
-        for y in ctx.local(normalizer, K).element_list():
-            if y.order() == 3 and y not in cset:
-                return True
-    return False
+    return any(
+        (_orders_outside(ctx.local(normalizer, K), ctx.local(centralizer, K)) == 3).any()
+        for K in ctx.kleins
+    )
 
 
 def even_structure_report(ctx: Context) -> StructureReport:
@@ -612,12 +620,14 @@ def even_structure_report(ctx: Context) -> StructureReport:
 
     if not is_nilpotent(derived_subgroup(R)):
         violations.append("THEOREM-VIOLATION: [R,R] not nilpotent")
-    rset = R.element_set()
+    S = G.store()
+    in_r = np.zeros(G.order(), dtype=bool)
+    in_r[S.lookup(S.keys_of(R))] = True
     for K in ctx.kleins:
-        fixed = [x for x in ctx.local(centralizer, K).element_list() if x in rset]
-        if len(fixed) != 1:
+        fixed = np.count_nonzero(in_r[S.lookup(S.keys_of(ctx.local(centralizer, K)))])
+        if fixed != 1:
             violations.append(
-                f"THEOREM-VIOLATION: a Klein four centralizes {len(fixed)} odd-core elements"
+                f"THEOREM-VIOLATION: a Klein four centralizes {fixed} odd-core elements"
             )
 
     Qbar = G if R.is_trivial() else quotient_by(G, R)[0]
@@ -721,27 +731,44 @@ def _check_two_cases_odd(ctx: Context) -> bool:
     return True
 
 
+def _in_some_row(ids: np.ndarray, rows: np.ndarray, n: int) -> bool:
+    """Whether some row of ``rows`` (ids of a group of order n) holds every
+    id in ``ids`` (distinct): one count over the rows, O(rows.size)."""
+    hit = np.zeros(n, dtype=bool)
+    hit[ids] = True
+    return bool((np.count_nonzero(hit[rows], axis=1) == len(ids)).any())
+
+
 def _check_basic1(ctx: Context) -> bool:
+    """N(Q) = N(P) and C(Q) = C(P) for every nontrivial Q <= P, C(P)
+    abelian and inverted by every element of N(P) outside it, and every
+    cyclic-by-p subgroup H of order divisible by p conjugate into N(P).
+    The subgroups are compared by their sorted keys at G's base.  H^g lies
+    in N(P) exactly when H lies in N(P)^(g^-1) = N(P^(g^-1)), so the last
+    test reads the one orbit of N(P)'s ids under G's conjugation tables,
+    its |G:N(P)| conjugates (N(P) is self-normalizing), as the rows of an
+    array of |G| ids, and looks for a row holding H's ids
+    (:func:`_in_some_row`)."""
     G, p, NP, CP = ctx.G, ctx.p, ctx.N, ctx.C
     if not is_abelian(CP) or not _inverting_outside(NP, CP):
         return False
-    # with N(Q) = N(P) and C(Q) = C(P) the inversion check above covers Q
-    for Q in ctx.chain:
-        NQ, CQ = ctx.local(normalizer, Q), ctx.local(centralizer, Q)
-        if CQ.element_set() != CP.element_set() or NQ.element_set() != NP.element_set():
-            return False
-    # every cyclic-by-p subgroup of order divisible by p is conjugate
-    # into N_G(P)
     S = G.store()
-    in_np = np.zeros(G.order(), dtype=bool)
-    in_np[S.ids_of(NP.element_set())] = True
-    tables = G.conjugation_tables()
-    for H in _cyclic_by_p_stream(G, p, skip_trivial_q=True):
-        ids = np.sort(S.ids_of(H.element_set()))
-        conjugates = np.frombuffer(b"".join(id_orbit(ids, tables)), dtype=ids.dtype)
-        if not in_np[conjugates.reshape(-1, len(ids))].all(axis=1).any():
+
+    def keys(H: Group) -> bytes:
+        return np.sort(S.keys_of(H)).tobytes()
+
+    # with N(Q) = N(P) and C(Q) = C(P) the inversion check above covers Q
+    np_keys, cp_keys = keys(NP), keys(CP)
+    for Q in ctx.chain:
+        if keys(ctx.local(centralizer, Q)) != cp_keys or keys(ctx.local(normalizer, Q)) != np_keys:
             return False
-    return True
+    np_ids = np.sort(S.lookup(S.keys_of(NP)))
+    orbit = id_orbit(np_ids, G.conjugation_tables())
+    conjugates = np.frombuffer(b"".join(orbit), dtype=np_ids.dtype).reshape(len(orbit), len(np_ids))
+    return all(
+        _in_some_row(S.lookup(S.keys_of(H)), conjugates, G.order())
+        for H in _cyclic_by_p_stream(G, p, skip_trivial_q=True)
+    )
 
 
 def _check_nontrivial_center_2(G: Group, P: Group, R: Group, Z: Group) -> bool:

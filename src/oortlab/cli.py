@@ -9,8 +9,10 @@ Exit codes: 0 positive verdict / success, 1 negative verdict or
 expectation mismatch, 2 parse or I/O error, 3 route disagreement,
 4 enumeration cap exceeded, 5 audit violation.
 
-validate runs every entry of its manifest.  An entry that fails gives an
-error record, ``{"spec", "p", "error", "detail"}`` with error "cap" (past
+validate runs every entry of its manifest, building each line's group
+once for all of its primes, and writes each line's JSON docs (to --out, or
+else to stdout) as soon as that line and every line before it are done.
+An entry that fails gives an error record, ``{"spec", "p", "error", "detail"}`` with error "cap" (past
 the enumeration cap), "too-large" (a parameter out of range) or "parse"
 (any other failure to build or decide), in place of its verdict.  Its
 exit code is the most severe outcome over the entries, in this order:
@@ -21,6 +23,7 @@ error), 1 (an expectation mismatch), 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -191,19 +194,32 @@ def bundled_manifest_text() -> str:
 _SEVERITY = [EXIT_OK, EXIT_NEGATIVE, EXIT_PARSE, EXIT_CAP, EXIT_DISAGREE]
 
 
-def _validate_one(task: tuple[str, int]) -> tuple[dict, bool]:
-    """(the entry's verdict doc or error record, routes_agree)."""
-    spec, p = task
+def _error_record(spec: str, p: int, exc: Exception) -> dict:
+    if isinstance(exc, CapExceeded):
+        error = "cap"
+    elif isinstance(exc, TooLarge) or isinstance(exc.__cause__, TooLarge):  # build_group wraps it
+        error = "too-large"
+    else:
+        error = "parse"
+    return {"spec": spec, "p": p, "error": error, "detail": str(exc)}
+
+
+def _validate_line(task: tuple[str, list[int]]) -> list[tuple[dict, bool]]:
+    """(the verdict doc or error record, routes_agree) of each prime of one
+    manifest line, whose group is built once for all of them."""
+    spec, primes = task
+    errors = (ConstructionError, ValueError, OortlabError)
     try:
-        return _run_routes(spec, build_group(spec), p, "both")
-    except (ConstructionError, ValueError, OortlabError) as exc:
-        if isinstance(exc, CapExceeded):
-            error = "cap"
-        elif isinstance(exc, TooLarge) or isinstance(exc.__cause__, TooLarge):  # build_group wraps it
-            error = "too-large"
-        else:
-            error = "parse"
-        return {"spec": spec, "p": p, "error": error, "detail": str(exc)}, True
+        G = build_group(spec)
+    except errors as exc:
+        return [(_error_record(spec, p, exc), True) for p in primes]
+    out = []
+    for p in primes:
+        try:
+            out.append(_run_routes(spec, G, p, "both"))
+        except errors as exc:
+            out.append((_error_record(spec, p, exc), True))
+    return out
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -217,57 +233,52 @@ def cmd_validate(args: argparse.Namespace) -> int:
             with open(args.manifest) as fh:
                 text = fh.read()
         entries = parse_manifest(text)
+        sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    tasks = [(spec, p) for spec, primes, _ in entries for p in primes]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_validate_one, tasks))
-    else:
-        results = [_validate_one(t) for t in tasks]
-
     disagreements = []
     mismatches = []
-    docs = []
+    verdicts = []
     code = EXIT_OK
-    i = 0
-    for spec, primes, expect in entries:
-        for j, p in enumerate(primes):
-            doc, agree = results[i]
-            i += 1
-            docs.append(doc)
-            if "error" in doc:
-                outcome = EXIT_CAP if doc["error"] == "cap" else EXIT_PARSE
-            elif not agree:
-                outcome = EXIT_DISAGREE
-                disagreements.append((spec, p))
-            elif expect is not None and doc["is_o_group"] != expect[j]:
-                outcome = EXIT_NEGATIVE
-                mismatches.append((spec, p, expect[j], doc["is_o_group"]))
+    lines = [(spec, primes) for spec, primes, _ in entries]
+    try:
+        with contextlib.ExitStack() as stack:
+            out = stack.enter_context(sink)
+            if args.jobs > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+                results = pool.map(_validate_line, lines)
             else:
-                outcome = EXIT_OK
-            code = max(code, outcome, key=_SEVERITY.index)
+                results = map(_validate_line, lines)
+            # a line's docs are written once it and every line before it are done
+            for (spec, primes, expect), docs in zip(entries, results):
+                for j, (p, (doc, agree)) in enumerate(zip(primes, docs)):
+                    out.write(json.dumps(doc) + "\n")
+                    if "error" in doc:
+                        outcome = EXIT_CAP if doc["error"] == "cap" else EXIT_PARSE
+                    elif not agree:
+                        outcome = EXIT_DISAGREE
+                        disagreements.append((spec, p))
+                    elif expect is not None and doc["is_o_group"] != expect[j]:
+                        outcome = EXIT_NEGATIVE
+                        mismatches.append((spec, p, expect[j], doc["is_o_group"]))
+                    else:
+                        outcome = EXIT_OK
+                    if "error" not in doc:
+                        verdicts.append(doc["is_o_group"])
+                    code = max(code, outcome, key=_SEVERITY.index)
+                out.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
-    lines = "\n".join(json.dumps(d) for d in docs)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(lines + ("\n" if docs else ""))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    else:
-        if docs:
-            print(lines)
-
-    verdicts = [d["is_o_group"] for d in docs if "error" not in d]
+    n = sum(len(primes) for _, primes in lines)
     summary = {
-        "entries": len(tasks),
+        "entries": n,
         "positive": sum(verdicts),
         "negative": len(verdicts) - sum(verdicts),
-        "errors": len(docs) - len(verdicts),
+        "errors": n - len(verdicts),
         "disagreements": [f"{s} p={p}" for s, p in disagreements],
         "expect_mismatches": [
             f"{s} p={p}: expected {e}, got {g}" for s, p, e, g in mismatches

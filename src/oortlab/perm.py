@@ -30,12 +30,14 @@ builds, on first use, its class labels: for every id, the least id in
 that element's conjugacy class, which is all the class sweeps read.
 :meth:`Group.subgroup_of_ids` turns an id array back into a group whose
 store is a slice of the parent's, keyed at the parent's base, sorted as
-``sorted()`` sorts permutations (:func:`sorting_order`).  ``Perm`` lists
-exist only at the edges: ``Group.element_list`` and ``element_set`` build
-them from the store's rows when read (constructors, witness and sifted
-generators, JSON, the audit's coset and chief-factor code), and a group
-below KEYED_MIN_ORDER, where :func:`mulclose` costs less than numpy, is
-listed first and stored from its list.
+``sorted()`` sorts permutations (:func:`sorting_order`).  :func:`is_normal`
+reads the conjugation tables, and :func:`quotient_by` numbers the cosets
+of a normal subgroup by their least ids and reads the coset action off
+ids.  ``Perm`` lists exist only at the edges: ``Group.element_list`` and
+``element_set`` build them from the store's rows when read (constructors,
+witness and sifted generators, JSON, the audit's chief-factor code), and a
+group below KEYED_MIN_ORDER, where :func:`mulclose` costs less than numpy,
+is listed first and stored from its list.
 
 :func:`mulclose` is the one closure routine on permutations and
 :func:`orbit` the one orbit routine on them (orbits of subgroups held as
@@ -287,6 +289,11 @@ class StabilizerChain:
 
     def order(self) -> int:
         return math.prod(level.size for level in self.levels)
+
+    def extend(self, g: Perm) -> None:
+        """Add the generator g: the chain becomes the one built from the
+        generators so far followed by g."""
+        self._add(g, 0)
 
     def sift_generators(self, els, n: int) -> tuple[Perm, ...]:
         """A small generating set of the group of order n whose elements
@@ -859,21 +866,11 @@ class Group:
         return self._conjugation_tables
 
     def class_labels(self) -> np.ndarray:
-        """For every id, the least id in its element's conjugacy class.
-        Each label starts as its own id; a round pushes labels both ways
-        along every conjugation table and then to their own label's label,
-        which keeps each in its class, until a round changes none."""
+        """For every id, the least id in its element's conjugacy class: the
+        least id joined to it by the conjugation tables
+        (:func:`_least_labels`)."""
         if self._class_labels is None:
-            labels = np.arange(self.order())
-            while True:
-                old = labels.copy()
-                for t in self.conjugation_tables():
-                    labels = np.minimum(labels, labels[t])
-                    labels[t] = np.minimum(labels[t], labels)
-                labels = labels[labels]
-                if np.array_equal(labels, old):
-                    break
-            self._class_labels = labels
+            self._class_labels = _least_labels(self.order(), self.conjugation_tables())
         return self._class_labels
 
     @classmethod
@@ -891,6 +888,14 @@ class Group:
         G._element_set = frozenset(Perm(e) for e in els)
         G._element_list = sorted(G._element_set)
         G._order = len(G._element_set)
+        return G
+
+    @classmethod
+    def from_chain(cls, chain: StabilizerChain, generators: Sequence[Perm]) -> "Group":
+        """The group generated by the given generators (no identity, no
+        repeats), whose chain, built from them in order, is given."""
+        G = cls(chain.degree, generators, check=False)
+        G._chain = chain
         return G
 
     def subgroup_of_ids(
@@ -937,6 +942,23 @@ class Group:
         return [els[rng.randrange(len(els))] for _ in range(k)]
 
 
+def _least_labels(n: int, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """For every x in range(n), the least id joined to x by the maps
+    x -> t[x] (permutations of range(n)) of the given tables.  Each label
+    starts as its own id; a round pushes labels both ways along every table
+    and then to their own label's label, which keeps each in its orbit,
+    until a round changes none."""
+    labels = np.arange(n)
+    while True:
+        old = labels.copy()
+        for t in tables:
+            labels = np.minimum(labels, labels[t])
+            labels[t] = np.minimum(labels[t], labels)
+        labels = labels[labels]
+        if np.array_equal(labels, old):
+            return labels
+
+
 def sorting_order(rows: np.ndarray) -> np.ndarray:
     """The order in which ``sorted()`` puts the permutations whose image
     rows are given: lexicographic, first point first.  The rows are
@@ -967,56 +989,62 @@ def _base_of(els: Sequence[Perm]) -> list[int]:
 
 
 class QuotientMap:
-    """The homomorphism G -> G/N realized by the left-coset action."""
+    """The homomorphism G -> G/N realized by the left-coset action: coset k
+    is the k-th in the order of the cosets' least ids, and ``coset[x]`` is
+    the coset of the element with id x."""
 
-    def __init__(self, G: Group, N: Group, reps: list[Perm], coset_index: dict[Perm, int]):
+    def __init__(self, G: Group, N: Group, coset: np.ndarray, rep_ids: np.ndarray):
         self.domain = G
         self.kernel = N
-        self.reps = reps
-        self._coset_index = coset_index
+        self.coset = coset
+        self.rep_ids = rep_ids  # the least id of each coset
+
+    def _id(self, g: Perm) -> int:
+        if not self.domain.contains(g):
+            raise NonMember(f"{Perm(g).cycle_str()} not in the domain group")
+        return int(self.domain.store().ids_of([Perm(g)])[0])
 
     def coset_of(self, g: Perm) -> int:
-        idx = self._coset_index.get(Perm(g))
-        if idx is None:
-            raise NonMember(f"{Perm(g).cycle_str()} not in the domain group")
-        return idx
+        return int(self.coset[self._id(g)])
 
     def __call__(self, g: Perm) -> Perm:
-        g = Perm(g)
-        return Perm(self.coset_of(g * rep) for rep in self.reps)
+        S = self.domain.store()
+        return Perm(self.coset[S.mul(np.array(self._id(g)), self.rep_ids)].tolist())
 
 
 def is_normal(G: Group, H: Group) -> bool:
-    """Whether every conjugate of a generator of H by one of G lies in H."""
-    hset = H.element_set()
-    for g in G.generators:
-        ginv = g.inv()
-        if any(g * h * ginv not in hset for h in H.generators):
-            return False
-    return True
+    """Whether H is a normal subgroup of G: every generator of H lies in G
+    (else ``ElementStore.lookup`` would name some other element), and
+    conjugation by each generator of G, read from G's tables, keeps H's
+    ids among them."""
+    if not all(map(G.contains, H.generators)):
+        return False
+    S = G.store()
+    ids = S.lookup(S.keys_of(H))
+    inside = np.zeros(G.order(), dtype=bool)
+    inside[ids] = True
+    return all(inside[t[ids]].all() for t in G.conjugation_tables())
 
 
 def quotient_by(G: Group, N: Group) -> tuple[Group, QuotientMap]:
     """Permutation action of G on the left cosets of a normal subgroup N.
 
     The kernel of the action is exactly N, so the image is faithful for G/N.
+    Cosets are numbered in the order of their least ids (the order in which
+    G's element list meets them), found on G's ids as the least id joined
+    to each by right multiplication by N's generators, x -> x n
+    (:func:`_least_labels`); the generators' action is read off the ids of
+    their products with each coset's least id.  G's ``Perm`` list is never
+    built.
     """
     if not is_normal(G, N):
         raise NotNormal("subgroup is not normal in the ambient group")
-    nset = N.element_set()
-    els = G.element_list()
-    reps: list[Perm] = []
-    coset_index: dict[Perm, int] = {}
-    for g in els:
-        if g in coset_index:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for n in nset:
-            coset_index[g * n] = idx
-    qmap = QuotientMap(G, N, reps, coset_index)
-    qgens = [qmap(a) for a in G.generators]
-    Q = Group(len(reps), qgens, check=False)
+    S, n = G.store(), G.order()
+    head = _least_labels(n, [S.mul(np.arange(n), h) for h in S.ids_of(N.generators)])
+    rep_ids, coset = np.unique(head, return_inverse=True)
+    qmap = QuotientMap(G, N, coset, rep_ids)
+    qgens = [Perm(row) for row in coset[S.mul(S.ids_of(G.generators)[:, None], rep_ids)].tolist()]
+    Q = Group(len(rep_ids), qgens, check=False)
     if Q.order() * N.order() != G.order():
         raise AssertionError("coset action order mismatch")
     return Q, qmap

@@ -4,10 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oortlab.analysis import (
     _class_reps,
     _close,
+    _minimal_normal_above,
     _p_element_part,
     center,
     centralizer,
@@ -37,9 +39,9 @@ from oortlab.analysis import (
     sylow,
 )
 from oortlab.construct import build_group
-from oortlab.errors import NonMember, NonSubgroup, NotPGroup
+from oortlab.errors import CapExceeded, NonMember, NonSubgroup, NotPGroup
 from oortlab.gf import factorize
-from oortlab.perm import Group, mulclose, perm_from_cycles
+from oortlab.perm import Group, Perm, enum_cap, mulclose, perm_from_cycles
 
 
 S4 = build_group("S:4")
@@ -530,3 +532,168 @@ def test_subgroups_of_p_group_keep_generators(spec, p):
     P = sylow(build_group(spec), p)
     for Q in subgroups_of_p_group(P, p):
         assert Group(P.degree, Q.generators).element_set() == Q.element_set()
+
+
+# -- normal subgroups on element ids ----------------------------------------
+
+
+def _close_with_isin(G: Group, ids, below, reps, cap=None):
+    """_close as it marked the classes met with ``np.isin`` over the labels."""
+    S, labels = G.store(), G.class_labels()
+    new = np.isin(labels, labels[ids]) & ~below
+    mask = below | new
+    while new.any():
+        if cap is not None and np.count_nonzero(mask) > cap:
+            return None
+        products = S.mul(np.flatnonzero(new)[:, None], reps[mask[reps]])
+        grown = mask | np.isin(labels, labels[products])
+        new, mask = grown & ~mask, grown
+    return mask
+
+
+def _o_pi_by_perm_orders(G: Group, pi) -> frozenset:
+    """o_pi as it read each class representative's order from G's `Perm`
+    list, over the np.isin closure."""
+    pi = frozenset(pi)
+    cap = p_part(G.order(), pi)
+    if cap == G.order():
+        return G.element_set()
+    els, core, reps = G.element_list(), np.arange(G.order()) == 0, _class_reps(G)
+    for x in reps.tolist():
+        if np.count_nonzero(core) == cap:
+            break
+        if core[x] or any(p not in pi for p in factorize(els[x].order())):
+            continue
+        joined = _close_with_isin(G, [x], core, reps, cap)
+        if joined is not None and all(p in pi for p in factorize(np.count_nonzero(joined))):
+            core = joined
+    return frozenset(els[i] for i in np.flatnonzero(core).tolist())
+
+
+def _minimal_normal_above_by_perms(G: Group, below, inside, cap=None) -> list:
+    """_minimal_normal_above as it sorted the masks by their sorted `Perm`
+    lists, over the np.isin closure."""
+    els, reps = G.element_list(), _class_reps(G)
+    closures = [_close_with_isin(G, [x], below, reps, cap) for x in reps[inside[reps] & ~below[reps]]]
+    masks = list({m.tobytes(): m for m in closures if m is not None}.values())
+    minimal = [m for m in masks if not any(o is not m and not (o & ~m).any() for o in masks)]
+    return sorted(minimal, key=lambda m: sorted(map(els.__getitem__, np.flatnonzero(m).tolist())))
+
+
+def _assert_normal_subgroups_match_the_references(G: Group):
+    """_close from 1 and from each minimal normal subgroup, with and
+    without a cap just short of the closure; o_pi for each prime and its
+    complement; and the minimal normal subgroups above 1 and above each
+    minimal normal subgroup, in order."""
+    one, reps = np.arange(G.order()) == 0, _class_reps(G)
+    minimal = _minimal_normal_above_by_perms(G, one, ~one, G.order() // 2)
+    assert [m.tobytes() for m in _minimal_normal_above(G, one, ~one, G.order() // 2)] == [
+        m.tobytes() for m in minimal
+    ]
+    everything = np.ones(G.order(), dtype=bool)
+    for below in [one, *minimal]:
+        for x in reps[~below[reps]].tolist():
+            want = _close_with_isin(G, [x], below, reps)
+            assert np.array_equal(_close(G, [x], below, reps), want)
+            cap = np.count_nonzero(want) - 1
+            assert _close(G, [x], below, reps, cap) is None and _close_with_isin(G, [x], below, reps, cap) is None
+        got = _minimal_normal_above(G, below, everything)
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in _minimal_normal_above_by_perms(G, below, everything)]
+    for p in sorted(factorize(G.order())) + [11]:
+        for pi in ({p}, set(factorize(G.order())) - {p}):
+            assert o_pi(G, pi).element_set() == _o_pi_by_perm_orders(G, pi), (p, pi)
+
+
+# minimal normal subgroups whose order by ids is not that of their sorted
+# element lists: INV:15:16:cyclic (C5, C3, C2), PROD:(S:3)x(C:3) (two C3)
+# and D:4 (three C2)
+NORMAL_SPECS = ["S:4", "D:4", "D:36", "PROD:(S:3)x(C:3)", "PGL2:5", "INV:9:16:cyclic", "INV:15:16:cyclic", "PSL2:13"]
+
+
+@pytest.mark.parametrize("spec", NORMAL_SPECS)
+def test_normal_subgroups_match_the_references(spec):
+    _assert_normal_subgroups_match_the_references(build_group(spec))
+
+
+_BUILT: dict[str, Group] = {}
+
+
+@st.composite
+def random_subgroups(draw, specs):
+    """A subgroup generated by 1-3 elements of one of the catalogue groups
+    ``specs``, drawn by position in its element list."""
+    spec = draw(st.sampled_from(specs))
+    if spec not in _BUILT:
+        _BUILT[spec] = build_group(spec)
+    G = _BUILT[spec]
+    picks = draw(st.lists(st.integers(0, G.order() - 1), min_size=1, max_size=3))
+    return Group(G.degree, [G.element_list()[i] for i in picks])
+
+
+@given(random_subgroups(["D:36", "PGL2:7", "INV:15:16:cyclic", "A:7", "DELPERM:5:A4"]))
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_normal_subgroups_match_the_references_on_random_subgroups(H):
+    _assert_normal_subgroups_match_the_references(H)
+
+
+@pytest.mark.parametrize("spec", ["D:4", "PROD:(S:3)x(C:3)", "INV:15:16:cyclic"])
+def test_minimal_normal_order_is_not_id_order(spec):
+    """These groups' minimal normal subgroups sort differently by ids and
+    by sorted element lists, so the comparisons above tell the two apart."""
+    G = build_group(spec)
+    one = np.arange(G.order()) == 0
+    masks = [m.tobytes() for m in _minimal_normal_above(G, one, ~one, G.order() // 2)]
+    by_ids = sorted(masks, key=lambda m: np.flatnonzero(np.frombuffer(m, dtype=bool)).tolist())
+    assert len(masks) >= 2 and by_ids != masks
+
+
+def _normal_closure_rebuilt(G: Group, gens, cap=None):
+    """normal_closure as it rebuilt the group, and so its chain, from all
+    its generators for each generator it added, inverting G's generators
+    for each one."""
+    work = [g for g in map(Perm, gens) if not g.is_identity()]
+    N = Group(G.degree, [])
+    for w in work:
+        if N.contains(w):
+            continue
+        N = Group(G.degree, [*N.generators, w])
+        if cap is not None and N.order() > cap:
+            return None
+        if cap is None and N.order() > enum_cap():
+            raise CapExceeded(f"normal closure exceeds ENUM_CAP {enum_cap()}")
+        work.extend(g * w * g.inv() for g in G.generators)
+    return N
+
+
+def _chain_of(H: Group) -> list:
+    return [(level.base, level.transversal_rows().tolist()) for level in H.chain.levels]
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:7", "PSL2:13", "INV:15:16:klein", "DELPERM:5:A4", "S:9"])
+def test_normal_closure_extends_one_chain_as_the_rebuilt_chains(spec):
+    """On words of one to four of G's generators (G is never listed; S:9 is
+    past ENUM_CAP): the same generators, order and chain (base points and
+    transversals in order) as the closure rebuilt per generator; None with
+    a cap just short of it; CapExceeded alike past ENUM_CAP."""
+    G = build_group(spec)
+    rng = random.Random(4)
+    seen_cap = False
+    for _ in range(5):
+        w = G.identity()
+        for g in rng.choices(G.generators, k=rng.randint(1, 4)):
+            w = w * g
+        try:
+            want = _normal_closure_rebuilt(G, [w])
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                normal_closure(G, [w])
+            seen_cap = True
+            continue
+        got = normal_closure(G, [w])
+        assert got.generators == want.generators and got.order() == want.order()
+        assert _chain_of(got) == _chain_of(want)
+        if want.order() > 1:
+            assert normal_closure(G, [w], cap=want.order() - 1) is None
+            assert _normal_closure_rebuilt(G, [w], cap=want.order() - 1) is None
+    assert seen_cap == (spec == "S:9")
+    assert G._element_list is None or G.order() < 128

@@ -2,7 +2,9 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oortlab.analysis import (
     center,
@@ -19,8 +21,11 @@ from oortlab.classify import (
     OortVerdict,
     ShapeVerdict,
     Witness,
+    _a4_embeds,
+    _check_basic1,
     _check_nontrivial_center_2,
     _cyclic_by_p_stream,
+    _in_some_row,
     _identify_quotient,
     _sylow_subgroup_classes,
     allowed_shape,
@@ -33,7 +38,7 @@ from oortlab.classify import (
     shape_of,
     theorem_audit,
 )
-from oortlab.cli import bundled_manifest_text, parse_manifest
+from oortlab.cli import _audit_doc, bundled_manifest_text, parse_manifest
 from oortlab.construct import alternating, build_group, pgl2, psl2, psl3_4, symmetric
 from oortlab.errors import PreconditionFailed
 from oortlab.gf import factorize
@@ -600,3 +605,137 @@ def test_is_cyclic_by_p_matches_the_quotient(spec):
                 assert data[0].element_set() == ref_data[0].element_set() and data[1] == ref_data[1]
             answers.add(ok)
     assert answers == {False, True}
+
+
+# -- the audit on element ids ---------------------------------------------
+
+
+def _check_basic1_by_orbits(ctx) -> bool:
+    """_check_basic1 as it compared element sets and walked the conjugation
+    orbit of each stream candidate, looking for a conjugate inside N(P)."""
+    from oortlab.analysis import id_orbit
+    from oortlab.classify import _inverting_outside
+
+    G, p, NP, CP = ctx.G, ctx.p, ctx.N, ctx.C
+    if not is_abelian(CP) or not _inverting_outside(NP, CP):
+        return False
+    for Q in ctx.chain:
+        NQ, CQ = ctx.local(normalizer, Q), ctx.local(centralizer, Q)
+        if CQ.element_set() != CP.element_set() or NQ.element_set() != NP.element_set():
+            return False
+    S = G.store()
+    in_np = np.zeros(G.order(), dtype=bool)
+    in_np[S.ids_of(NP.element_set())] = True
+    tables = G.conjugation_tables()
+    for H in _cyclic_by_p_stream(G, p, skip_trivial_q=True):
+        ids = np.sort(S.ids_of(H.element_set()))
+        conjugates = np.frombuffer(b"".join(id_orbit(ids, tables)), dtype=ids.dtype)
+        if not in_np[conjugates.reshape(-1, len(ids))].all(axis=1).any():
+            return False
+    return True
+
+
+BASIC1_PAIRS = [
+    (spec, p)
+    for spec, primes, expect in parse_manifest(bundled_manifest_text())
+    for p, e in zip(primes, expect)
+    if p != 2 and e and spec != "PSL3_4"
+]
+
+
+def test_basic1_matches_the_orbit_walk_on_the_catalogue():
+    """Every odd-p positive of the catalogue but PSL3_4 (the audit runs it;
+    see test_golden), whether basic1 applies to it or not."""
+    applied = 0
+    for spec, p in BASIC1_PAIRS:
+        ctx = Context(build_group(spec), p)
+        if ctx.P.is_trivial():
+            continue
+        applied += ctx.ncq != 1
+        assert _check_basic1(ctx) == _check_basic1_by_orbits(ctx), (spec, p)
+    assert applied >= 30
+
+
+@st.composite
+def cyclic_sylow_contexts(draw):
+    """(H, p) for H generated by 1-3 elements of a catalogue group and an
+    odd prime p at which H has a nontrivial cyclic Sylow subgroup."""
+    G = build_group(draw(st.sampled_from(["S:5", "D:36", "PGL2:7", "INV:15:16:cyclic", "A:7"])))
+    picks = draw(st.lists(st.integers(0, G.order() - 1), min_size=1, max_size=3))
+    H = Group(G.degree, [G.element_list()[i] for i in picks])
+    p = draw(st.sampled_from([3, 5, 7]))
+    return H, p
+
+
+@given(cyclic_sylow_contexts())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_basic1_matches_the_orbit_walk_on_random_subgroups(case):
+    H, p = case
+    ctx = Context(H, p)
+    if ctx.P.is_trivial() or ctx.shape.kind != "Cyclic":
+        return
+    assert _check_basic1(ctx) == _check_basic1_by_orbits(ctx)
+
+
+def _sylow_normalizer_conjugates(G, p):
+    """The conjugates of N_G(P) as rows of sorted ids, as _check_basic1
+    builds them."""
+    from oortlab.analysis import id_orbit
+
+    S, NP = G.store(), Context(G, p).N
+    np_ids = np.sort(S.lookup(S.keys_of(NP)))
+    orbit = id_orbit(np_ids, G.conjugation_tables())
+    return np.frombuffer(b"".join(orbit), dtype=np_ids.dtype).reshape(len(orbit), len(np_ids))
+
+
+def test_membership_in_some_sylow_normalizer():
+    """In S5 the six Sylow 5-normalizers are Frobenius groups of order 20,
+    with cyclic Sylow 2-subgroups.  Every involution (a b)(c d) lies in one
+    of them, but the Klein four they form lies in none; nor does a
+    3-cycle, a transposition or S5."""
+    G = build_group("S:5")
+    S = G.store()
+    rows = _sylow_normalizer_conjugates(G, 5)
+    assert rows.shape == (6, 20)
+
+    def inside(*cycles):
+        H = Group(5, [perm_from_cycles(5, c) for c in cycles])
+        return _in_some_row(S.lookup(S.keys_of(H)), rows, G.order())
+
+    assert inside([(0, 1, 2, 3, 4)])
+    assert inside([(0, 1, 2, 3, 4)], [(1, 2, 4, 3)])  # a whole normalizer
+    assert inside([(1, 2, 4, 3)])
+    assert inside([(0, 1), (2, 3)])
+    assert not inside([(0, 1), (2, 3)], [(0, 2), (1, 3)])
+    assert not inside([(0, 1, 2)])
+    assert not inside([(0, 1)])
+    assert not inside([(0, 1, 2, 3, 4)], [(0, 1)])
+    # the union of the rows is all of the involutions of type (a b)(c d)
+    v4 = [S.lookup(S.keys_of(Group(5, [perm_from_cycles(5, c)]))) for c in ([(0, 1), (2, 3)], [(0, 2), (1, 3)])]
+    assert all(_in_some_row(ids, rows, G.order()) for ids in v4)
+
+
+def _a4_embeds_by_perms(ctx) -> bool:
+    """_a4_embeds as it scanned the normalizer's `Perm` list."""
+    for K in ctx.kleins:
+        cset = ctx.local(centralizer, K).element_set()
+        for y in ctx.local(normalizer, K).element_list():
+            if y.order() == 3 and y not in cset:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:4", "D:12", "PSL2:7", "INV:9:16:cyclic", "DELPERM:5:A4", "PGL2:9"])
+def test_a4_embeds_matches_the_perm_scan(spec):
+    ctx = Context(build_group(spec), 2)
+    assert _a4_embeds(ctx) == _a4_embeds_by_perms(ctx)
+
+
+@pytest.mark.parametrize("spec, p", [("PSL2:13", 3), ("PGL2:9", 5), ("INV:9:16:cyclic", 2)])
+def test_audit_lists_no_element_of_g(spec, p):
+    """The audit (reports and claims) runs on G's store: O_pi, the minimal
+    normal subgroups, basic1, the even report and the quotient G/R never
+    build G's `Perm` list."""
+    G = build_group(spec)
+    _audit_doc(spec, G, p)
+    assert G.order() >= KEYED_MIN_ORDER and G._element_list is None

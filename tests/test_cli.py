@@ -424,3 +424,87 @@ def test_validate_disagreement_outranks_errors(capsys, monkeypatch, tmp_path):
     mf.write_text("C:15 ; p=3\nS:5 ; p=2\nFOO:3 ; p=2\n")
     code, _, _ = run(capsys, "validate", str(mf))
     assert code == EXIT_DISAGREE
+
+
+def _count_builds(monkeypatch, log):
+    """Make cli.build_group append each spec it builds to the file log
+    (a file, so that worker processes count too)."""
+    real = cli.build_group
+
+    def counted(spec):
+        with open(log, "a") as fh:
+            fh.write(spec + "\n")
+        return real(spec)
+
+    monkeypatch.setattr(cli, "build_group", counted)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_validate_builds_each_line_once(capsys, monkeypatch, tmp_path, jobs):
+    """One build_group call per manifest line, for all of its primes; a
+    line that fails to build gives one error record per prime."""
+    log = tmp_path / "builds.txt"
+    _count_builds(monkeypatch, log)
+    mf = tmp_path / "m.txt"
+    mf.write_text("C:12 ; p=2,3\nS:4 ; p=2,3 ; expect=T,T\nFOO:3 ; p=2,3\n")
+    code, out, _ = run(capsys, "validate", str(mf), "--jobs", jobs)
+    assert sorted(log.read_text().split()) == ["C:12", "FOO:3", "S:4"]
+    docs = [json.loads(line) for line in out.splitlines()[:6]]
+    assert [(d["spec"], d["p"], d.get("error")) for d in docs] == [
+        ("C:12", 2, None),
+        ("C:12", 3, None),
+        ("S:4", 2, None),
+        ("S:4", 3, None),
+        ("FOO:3", 2, "parse"),
+        ("FOO:3", 3, "parse"),
+    ]
+    assert docs[4]["detail"] == docs[5]["detail"]
+    assert code == EXIT_PARSE
+
+
+def test_validate_writes_each_line_as_it_completes(capsys, monkeypatch, tmp_path):
+    """When the second line's routes run, --out already holds the first
+    line's docs."""
+    out_path = tmp_path / "o.jsonl"
+    seen = []
+    real = cli._run_routes
+
+    def spying(spec, G, p, route):
+        seen.append((spec, out_path.read_text()))
+        return real(spec, G, p, route)
+
+    monkeypatch.setattr(cli, "_run_routes", spying)
+    mf = tmp_path / "m.txt"
+    mf.write_text("C:12 ; p=2,3\nS:4 ; p=3\n")
+    code, _, _ = run(capsys, "validate", str(mf), "--out", str(out_path))
+    assert code == EXIT_OK
+    first = [json.loads(line)["spec"] for line in seen[2][1].splitlines()]
+    assert seen[2][0] == "S:4" and first == ["C:12", "C:12"]
+    assert seen[0][1] == seen[1][1] == ""
+    assert len(out_path.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_validate_out_holds_every_prime_of_a_line_past_the_cap(capsys, monkeypatch, tmp_path, jobs):
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", "1000")
+    mf = tmp_path / "m.txt"
+    mf.write_text("C:4 ; p=2\nA:7 ; p=3,5\nS:4 ; p=3\n")
+    out_path = tmp_path / "o.jsonl"
+    code, out, _ = run(capsys, "validate", str(mf), "--out", str(out_path), "--jobs", jobs)
+    assert code == EXIT_CAP
+    docs = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [(d["spec"], d["p"], d.get("error")) for d in docs] == [
+        ("C:4", 2, None),
+        ("A:7", 3, "cap"),
+        ("A:7", 5, "cap"),
+        ("S:4", 3, None),
+    ]
+    summary = json.loads(out)
+    assert (summary["entries"], summary["positive"], summary["errors"]) == (4, 2, 2)
+
+
+def test_validate_reports_an_unwritable_out(capsys, tmp_path):
+    mf = tmp_path / "m.txt"
+    mf.write_text("C:4 ; p=2\n")
+    code, out, err = run(capsys, "validate", str(mf), "--out", str(tmp_path / "no" / "o.jsonl"))
+    assert code == EXIT_PARSE and out == "" and "error" in err

@@ -19,6 +19,7 @@ from oortlab.perm import (
     identity,
     make_perm,
     mulclose,
+    is_normal,
     perm_from_cycles,
     quotient_by,
 )
@@ -392,6 +393,111 @@ def test_quotient_requires_normal():
     c2 = s3.subgroup([perm_from_cycles(3, [(0, 1)])])
     with pytest.raises(NotNormal):
         quotient_by(s3, c2)
+
+
+def _is_normal_by_perms(G: Group, H: Group) -> bool:
+    """is_normal as it conjugated H's generators by G's as `Perm`s."""
+    hset = H.element_set()
+    for g in G.generators:
+        ginv = g.inv()
+        if any(g * h * ginv not in hset for h in H.generators):
+            return False
+    return True
+
+
+def _quotient_by_perms(G: Group, N: Group):
+    """quotient_by as it scanned G's `Perm` list: the generators of the
+    coset action, each coset's first element, and every element's coset."""
+    nset = N.element_set()
+    reps, coset_index = [], {}
+    for g in G.element_list():
+        if g in coset_index:
+            continue
+        reps.append(g)
+        for n in nset:
+            coset_index[g * n] = len(reps) - 1
+    gens = [Perm(coset_index[a * r] for r in reps) for a in G.generators]
+    return Group(len(reps), gens, check=False), reps, coset_index
+
+
+def _normal_subgroups(G: Group) -> list:
+    """G, 1, the centre, the derived subgroup, the minimal normal subgroups
+    and O_pi for each prime and for its complement."""
+    from oortlab.analysis import center, derived_subgroup, minimal_normal_subgroups, o_pi
+    from oortlab.gf import factorize
+
+    primes = set(factorize(G.order()))
+    cores = [o_pi(G, pi) for p in sorted(primes) for pi in ({p}, primes - {p})]
+    return [G, Group(G.degree, []), center(G), derived_subgroup(G), *minimal_normal_subgroups(G), *cores]
+
+
+def _assert_quotients_match_the_perm_reference(G: Group):
+    """is_normal on G's normal subgroups and on subgroups generated by
+    random elements; quotient_by on every normal one of index at most 200:
+    the same generators of G/N, coset representatives and coset of every
+    element."""
+    rng = random.Random(9)
+    els = G.element_list()
+    randoms = [Group(G.degree, rng.choices(els, k=rng.randint(1, 2))) for _ in range(4)]
+    for N in _normal_subgroups(G) + randoms:
+        normal = is_normal(G, N)
+        assert normal == _is_normal_by_perms(G, N)
+        if not normal:
+            with pytest.raises(NotNormal):
+                quotient_by(G, N)
+            continue
+        if G.order() // N.order() > 200:  # a coset action of high degree builds a slow chain
+            continue
+        Q, qmap = quotient_by(G, N)
+        Q_ref, reps, coset_index = _quotient_by_perms(G, N)
+        assert Q.generators == Q_ref.generators and Q.order() == Q_ref.order()
+        assert [els[i] for i in qmap.rep_ids.tolist()] == reps
+        assert qmap.coset.tolist() == [coset_index[g] for g in els]
+        for g in rng.choices(els, k=3):
+            assert qmap.coset_of(g) == coset_index[g]
+            assert qmap(g) == Perm(coset_index[g * r] for r in reps)
+
+
+@pytest.mark.parametrize("spec", ["S:4", "D:36", "PGL2:7", "INV:9:16:cyclic", "INV:15:8:klein", "DELPERM:5:A4"])
+def test_quotients_match_the_perm_reference(spec):
+    _assert_quotients_match_the_perm_reference(build_group(spec))
+
+
+@st.composite
+def random_subgroups(draw):
+    """A subgroup generated by 1-3 elements of a catalogue group, drawn by
+    position in its element list."""
+    G = build_group(draw(st.sampled_from(["S:5", "D:36", "PGL2:7", "INV:15:16:cyclic"])))
+    picks = draw(st.lists(st.integers(0, G.order() - 1), min_size=1, max_size=3))
+    return Group(G.degree, [G.element_list()[i] for i in picks])
+
+
+@given(random_subgroups())
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_quotients_match_the_perm_reference_on_random_subgroups(H):
+    _assert_quotients_match_the_perm_reference(H)
+
+
+def test_quotient_map_rejects_non_members_and_non_subgroups():
+    """A transposition is no element of A4's coset action; C4 is normalized
+    by A4's generators' conjugation nowhere, and a group not inside G is
+    not a normal subgroup of it, whatever G's tables would make of it."""
+    a4 = build_group("A:4")
+    v4 = a4.subgroup([perm_from_cycles(4, [(0, 1), (2, 3)]), perm_from_cycles(4, [(0, 2), (1, 3)])])
+    _, qmap = quotient_by(a4, v4)
+    t = perm_from_cycles(4, [(0, 1)])
+    with pytest.raises(NonMember):
+        qmap.coset_of(t)
+    with pytest.raises(NonMember):
+        qmap(t)
+    assert is_normal(a4, v4)
+    assert not is_normal(a4, Group(4, [perm_from_cycles(4, [(0, 1, 2, 3)])]))
+    # S3 on the first three points of A:7 is outside A7
+    a7 = build_group("A:7")
+    s3 = Group(7, [perm_from_cycles(7, [(0, 1)]), perm_from_cycles(7, [(0, 1, 2)])])
+    assert not is_normal(a7, s3)
+    with pytest.raises(NotNormal):
+        quotient_by(a7, s3)
 
 
 def test_orbit():

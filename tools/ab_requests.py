@@ -14,7 +14,11 @@ slow spell of the host falls on both sides alike.  Each side's figures
 are taken as ``perfbench/run.py`` takes them, from each request's median
 over the rounds: requests/s (the request count over the sum of the
 medians), p50 and p95.  A request that fails or answers wrongly under
-``workloads.judge`` is counted beside the figures.
+``workloads.judge`` is counted beside the figures.  Beside them,
+``highest_ratio`` and ``lowest_ratio`` list the 10 requests whose
+change/parent ratio of medians is highest and the 10 where it is lowest,
+the most extreme first, so that a few requests that got slower
+do not hide under a total gain.
 
 These figures support a benchmark comparison in fresh processes; they do
 not replace it, since they share one interpreter's heap and caches.
@@ -85,6 +89,17 @@ def figures(samples: dict) -> dict:
     }
 
 
+def extremes(samples: dict, k: int = 10) -> tuple[list, list]:
+    """The k requests with the highest and the k with the lowest
+    change/parent ratio of medians, each with both medians in ms."""
+    rows = []
+    for req, parent_ms in samples["parent"].items():
+        p, c = statistics.median(parent_ms), statistics.median(samples["change"][req])
+        rows.append({"argv": " ".join(req.argv), "parent_ms": p, "change_ms": c, "ratio": c / p})
+    rows.sort(key=lambda row: row["ratio"], reverse=True)
+    return rows[:k], rows[::-1][:k]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
@@ -114,6 +129,7 @@ def main(argv=None) -> int:
     for side in SIDES:
         result[side] = {**figures(samples[side]), "failed": failed[side]}
     result["ratio_requests_per_s"] = result["change"]["requests_per_s"] / result["parent"]["requests_per_s"]
+    result["highest_ratio"], result["lowest_ratio"] = extremes(samples)
     print(json.dumps(result))
     return 0
 
