@@ -17,10 +17,11 @@ and ``chief_series_within`` build unions of classes, masks over G's ids
 closed under products by :func:`_close`; ``o_pi`` reads its class
 representatives' orders from G's store, and the scan orders its masks by
 the ranks of their ids in G's sorted rows, so none of them lists G.
-``normal_closure`` grows one stabilizer chain and never lists G either.  :func:`id_orbit` walks the orbit of a subgroup held as sorted ids
-under G's conjugation tables, and ``subgroups_of_p_group`` builds the
-subgroup lattice of P over P's multiplication table of ids; each subgroup
-keeps the generators it was built from.
+``normal_closure`` grows one stabilizer chain and never lists G either.
+:func:`id_orbit` walks the orbit of a subgroup held as sorted ids under
+G's conjugation tables, and ``subgroups_of_p_group`` builds the subgroup
+lattice of P over P's multiplication table of ids; each subgroup keeps
+the generators it was built from.
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ expectation mismatch, 2 parse or I/O error, 3 route disagreement,
 validate runs every entry of its manifest, building each line's group
 once for all of its primes, and writes each line's JSON docs (to --out, or
 else to stdout) as soon as that line and every line before it are done.
-An entry that fails gives an error record, ``{"spec", "p", "error", "detail"}`` with error "cap" (past
-the enumeration cap), "too-large" (a parameter out of range) or "parse"
-(any other failure to build or decide), in place of its verdict.  Its
-exit code is the most severe outcome over the entries, in this order:
-3 (a route disagreement), 4 (a cap error), 2 (a too-large or parse
-error), 1 (an expectation mismatch), 0.
+An entry that fails gives an error record, ``{"spec", "p", "error",
+"detail"}`` with error "cap" (past the enumeration cap), "too-large" (a
+parameter out of range) or "parse" (any other failure to build or
+decide), in place of its verdict.  Its exit code is the most severe
+outcome over the entries, in this order: 3 (a route disagreement), 4 (a
+cap error), 2 (a too-large or parse error), 1 (an expectation mismatch),
+0.
 """
 
 from __future__ import annotations
