@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -437,7 +437,10 @@ class _QuotientCandidate:
     simple: bool
 
 
-def _quotient_table() -> list[_QuotientCandidate]:
+@lru_cache(maxsize=None)
+def _quotient_table() -> tuple[_QuotientCandidate, ...]:
+    """The PSL/PGL(2,q) and PSL(3,4) candidates, built once: the table
+    depends on no input."""
     out = []
     for q in range(4, MAX_Q + 1):
         fac = factorize(q)
@@ -451,7 +454,7 @@ def _quotient_table() -> list[_QuotientCandidate]:
         if q % 2:
             out.append(_QuotientCandidate(f"PGL(2,{q})", "PGL2", q, q * (q * q - 1), False))
     out.append(_QuotientCandidate("PSL(3,4)", "PSL3_4", 4, 20160, True))
-    return out
+    return tuple(out)
 
 
 # Orders where (order, simplicity) does not pin the isomorphism type at

@@ -30,8 +30,14 @@ commit.  ``check`` of INV:15:16:klein/3 (C_G(Q) nonabelian) and
 PSL2:13/13 (an inversion test failing on an N of order 78) and ``audit``
 of INV:9:16:cyclic/3 (G=RD, inversion tests passing on an N of order
 144) were recorded before G's element list became an edge built only
-when read and sylow and the inversion test moved onto store ids.  ``timing_ms`` varies
-from run to run and is left out.
+when read and sylow and the inversion test moved onto store ids.
+``audit`` of INV:15:16:cyclic/2 (the one catalogue audit in which the
+minimal-normal scan orders two or more minimal normal subgroups) and of
+INV:9:16:cyclic/2 (the even report, with G/R taken through ``quotient_by``
+on a G of order 144) were recorded before the audit moved onto element ids:
+O_pi's orders and the minimal normal subgroups' order read from the store,
+``basic1``, the even report's masks, ``is_normal`` and ``quotient_by``.
+``timing_ms`` varies from run to run and is left out.
 """
 
 import json
