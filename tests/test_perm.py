@@ -479,9 +479,10 @@ def test_quotients_match_the_perm_reference_on_random_subgroups(H):
 
 
 def test_quotient_map_rejects_non_members_and_non_subgroups():
-    """A transposition is no element of A4's coset action; C4 is normalized
-    by A4's generators' conjugation nowhere, and a group not inside G is
-    not a normal subgroup of it, whatever G's tables would make of it."""
+    """A transposition is not in A4, so its coset and its image raise
+    NonMember; a group not inside G, such as C4 = <(0 1 2 3)> beside A4 or
+    S3 beside A7, is not a normal subgroup of it, whatever G's tables would
+    make of the ids that lookup gives its elements."""
     a4 = build_group("A:4")
     v4 = a4.subgroup([perm_from_cycles(4, [(0, 1), (2, 3)]), perm_from_cycles(4, [(0, 2), (1, 3)])])
     _, qmap = quotient_by(a4, v4)
@@ -492,7 +493,7 @@ def test_quotient_map_rejects_non_members_and_non_subgroups():
         qmap(t)
     assert is_normal(a4, v4)
     assert not is_normal(a4, Group(4, [perm_from_cycles(4, [(0, 1, 2, 3)])]))
-    # S3 on the first three points of A:7 is outside A7
+    assert not is_normal(a4, build_group("S:4"))  # normalized by A4, but not inside it
     a7 = build_group("A:7")
     s3 = Group(7, [perm_from_cycles(7, [(0, 1)]), perm_from_cycles(7, [(0, 1, 2)])])
     assert not is_normal(a7, s3)
