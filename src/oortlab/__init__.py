@@ -20,10 +20,8 @@ from .analysis import (
     minimal_normal_subgroups,
     normal_closure,
     normalizer,
-    o_p,
     o_p_prime,
     o_pi,
-    omega1,
     subgroups_of_p_group,
     sylow,
 )
@@ -32,10 +30,8 @@ from .classify import (
     OortVerdict,
     ShapeVerdict,
     StructureReport,
-    cyclic_by_p_subgroups,
     cyclic_sylow_report,
     even_structure_report,
-    is_cyclic_by_p,
     is_o_group_by_criterion,
     is_o_group_by_definition,
     odd_structure_report,

@@ -21,7 +21,10 @@ the ranks of their ids in G's sorted rows, so none of them lists G.
 :func:`id_orbit` walks the orbit of a subgroup held as sorted ids under
 G's conjugation tables, and ``subgroups_of_p_group`` builds the subgroup
 lattice of P over P's multiplication table of ids; each subgroup keeps
-the generators it was built from.
+the generators it was built from.  A chief factor is held on G's ids as
+well: its basis is ids, its coordinates are keyed by the coset heads
+that ``quotient_by`` numbers its cosets by (``perm.coset_heads``), and
+conjugation on it reads the conjugates' ids from G's store.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ from .perm import (
     Group,
     Perm,
     StabilizerChain,
+    coset_heads,
     enum_cap,
-    identity,
-    is_normal,
     mulclose,
     sorting_order,
 )
@@ -221,10 +223,6 @@ def o_pi(G: Group, pi: Iterable[int]) -> Group:
     return _filtered(G, core)
 
 
-def o_p(G: Group, p: int) -> Group:
-    return o_pi(G, {p})
-
-
 def o_p_prime(G: Group, p: int) -> Group:
     """O_{p'}(G); for p = 2 this is O(G)."""
     return o_pi(G, {q for q in factorize(G.order())} - {p})
@@ -340,16 +338,6 @@ def _sylow_by_perms(G: Group, p: int, target: int) -> Group:
 
 def is_p_group(H: Group, p: int) -> bool:
     return set(factorize(H.order())) <= {p}
-
-
-def omega1(P: Group, p: int) -> Group:
-    """Subgroup of a p-group generated by its elements of order p."""
-    if not is_p_group(P, p):
-        raise NotPGroup(f"group of order {P.order()} is not a {p}-group")
-    gens = [x for x in P.element_list() if x.order() == p]
-    if not gens:
-        return Group(P.degree, [])
-    return Group.from_element_set(P.degree, mulclose(gens))
 
 
 def subgroups_of_p_group(P: Group, p: int) -> list[Group]:
@@ -518,31 +506,30 @@ FACTOR_CAP = 20_000
 
 @dataclass
 class ChiefFactor:
-    """An elementary abelian G-chief factor H/N of order prime^rank, with a
-    basis of coset representatives and a coset -> coordinate lookup."""
+    """An elementary abelian G-chief factor H/N of order prime^rank, held on
+    G's ids: ``head`` is the coset head (:func:`~oortlab.perm.coset_heads`)
+    of every id of G modulo N, ``basis`` the ids of coset representatives
+    of a basis, and ``coords`` the coordinates of each coset of N in H,
+    keyed by its head."""
 
     lower: Group
     upper: Group
     prime: int
     rank: int
-    basis: list[Perm]
-    _coords: dict[Perm, tuple[int, ...]] = dc_field(repr=False, default_factory=dict)
+    basis: np.ndarray
+    head: np.ndarray = dc_field(repr=False)
+    coords: dict[int, tuple[int, ...]] = dc_field(repr=False)
 
     def order(self) -> int:
         return self.prime**self.rank
 
-    def coset_key(self, h: Perm) -> Perm:
-        """The least element of the coset h * lower."""
-        return min(h * n for n in self.lower.element_list())
 
-    def coords(self, h: Perm) -> tuple[int, ...]:
-        c = self._coords.get(self.coset_key(h))
-        if c is None:
-            raise NonSubgroup("element does not lie in the factor's upper group")
-        return c
-
-
-def _build_chief_factor(G_degree: int, lower: Group, upper: Group) -> ChiefFactor:
+def _build_chief_factor(G: Group, lower: Group, upper: Group, inside: np.ndarray) -> ChiefFactor:
+    """The factor upper/lower, upper given also as a mask over G's ids.
+    Each new basis vector b is the first id of upper, in id order, whose
+    coset has no coordinates yet; the cosets known so far times b^j get
+    their coordinates extended by j, for j < prime, and times b^prime
+    must come back to themselves (b^prime lies in lower)."""
     n = upper.order() // lower.order()
     fac = factorize(n)
     if len(fac) != 1:
@@ -550,35 +537,30 @@ def _build_chief_factor(G_degree: int, lower: Group, upper: Group) -> ChiefFacto
     ((r, d),) = fac.items()
     if n > FACTOR_CAP:
         raise TooLarge(f"factor order {n} exceeds coordinateization cap {FACTOR_CAP}")
-    X = ChiefFactor(lower=lower, upper=upper, prime=r, rank=d, basis=[])
-    key = X.coset_key
-    coords: dict[Perm, tuple[int, ...]] = {key(identity(G_degree)): ()}
-    for h in upper.element_list():
-        if len(coords) == n:
+    S, head = G.store(), coset_heads(G, lower)
+    heads, coords, basis = np.zeros(1, dtype=np.intp), [()], []
+    known = np.zeros(len(head), dtype=bool)  # known[h]: the coset with head h has coordinates
+    while True:
+        known[heads] = True
+        fresh = np.flatnonzero(inside & ~known[head])
+        if not len(fresh):
             break
-        k = key(h)
-        if k in coords:
-            continue
-        # extend every known coset by powers of the new basis rep
-        new_coords: dict[Perm, tuple[int, ...]] = {}
-        for rep_key, c in coords.items():
-            cur = rep_key
-            for j in range(r):
-                new_coords[key(cur)] = c + (j,)
-                cur = cur * h
-        X.basis.append(h)
-        coords = new_coords
-    if len(coords) != n:
-        raise AssertionError("factor coordinateization incomplete")
-    X._coords = {k: tuple(c) + (0,) * (d - len(c)) for k, c in coords.items()}
-    nset = lower.element_set()
-    for i, a in enumerate(X.basis):
-        if a**r not in nset:
+        cur, steps = heads, [heads]
+        for _ in range(r):
+            cur = S.mul(cur, fresh[:1])
+            steps.append(head[cur])
+        if not np.array_equal(steps.pop(), heads):
             raise AssertionError("basis rep power escapes the lower term")
-        for b in X.basis[i + 1 :]:
-            if a * b * a.inv() * b.inv() not in nset:
-                raise AssertionError("chief factor is not abelian")
-    return X
+        heads = np.concatenate(steps)
+        coords = [c + (j,) for j in range(r) for c in coords]
+        basis.append(fresh[0])
+    if len(heads) != n:
+        raise AssertionError("factor coordinateization incomplete")
+    basis = np.array(basis)
+    ab = S.mul(basis[:, None], basis)
+    if not np.array_equal(head[ab], head[ab.T]):
+        raise AssertionError("chief factor is not abelian")
+    return ChiefFactor(lower, upper, r, d, basis, head, dict(zip(heads.tolist(), coords)))
 
 
 def chief_series_within(G: Group, R: Group) -> list[ChiefFactor]:
@@ -601,20 +583,21 @@ def chief_series_within(G: Group, R: Group) -> list[ChiefFactor]:
     while lower.order() < R.order():
         below = min(_minimal_normal_above(G, below, inside), key=np.count_nonzero)
         upper = _filtered(G, below)
-        factors.append(_build_chief_factor(G.degree, lower, upper))
+        factors.append(_build_chief_factor(G, lower, upper, below))
         lower = upper
     return factors
 
 
 def factor_action(G: Group, X: ChiefFactor, g: Perm) -> tuple[np.ndarray, int, int]:
     """Matrix of conjugation by g on X in the stored basis, plus its trace
-    in GF(r) and lifted to the symmetric residue range."""
+    in GF(r) and lifted to the symmetric residue range.  The ids of the
+    g b g^-1 come from G's store (``ElementStore.conjugation_table``) and
+    are read by their coset heads.  Raises NonMember if g is not in G."""
+    if not G.contains(g):
+        raise NonMember(f"{Perm(g).cycle_str()} not in group")
     r = X.prime
-    cols = []
-    ginv = g.inv()
-    for b in X.basis:
-        cols.append(X.coords(g * b * ginv))
-    mat = np.array(cols, dtype=np.int64).T % r
+    conj = G.store().conjugation_table(g, X.basis)
+    mat = np.array([X.coords[h] for h in X.head[conj].tolist()], dtype=np.int64).T % r
     tr = int(mat.trace()) % r
     tr_sym = tr - r if tr > r // 2 else tr
     return mat, tr, tr_sym

@@ -53,9 +53,7 @@ from .analysis import (
     is_simple,
     is_solvable,
     normalizer,
-    o_p,
     o_p_prime,
-    p_part,
     subgroups_of_p_group,
     sylow,
 )
@@ -127,20 +125,6 @@ def allowed_shape(shape: ShapeVerdict, p: int) -> bool:
 
 
 # -- cyclic-by-p subgroups ----------------------------------------------
-
-
-def is_cyclic_by_p(H: Group, p: int) -> tuple[bool, Optional[tuple[Group, int]]]:
-    """True iff O_p(H) is a Sylow p-subgroup of H and H/O_p(H) is cyclic.
-    Returns (O_p(H), quotient order) alongside a positive answer."""
-    Q = o_p(H, p)
-    if Q.order() != p_part(H.order(), {p}):
-        return False, None
-    m = H.order() // Q.order()
-    # Q is H's only Sylow p-subgroup, so the order of xQ in H/Q is the
-    # p'-part of the order of x, and H/Q is cyclic when one reaches m
-    if m == 1 or any(n // p_part(n, {p}) == m for n in set(H.element_orders())):
-        return True, (Q, m)
-    return False, None
 
 
 def _sylow_subgroup_classes(G: Group, p: int) -> tuple[Group, list[Group]]:
@@ -217,12 +201,6 @@ def _cyclic_by_p_stream(G: Group, p: int, skip_trivial_q: bool) -> Iterator[Grou
             cosets = np.zeros(n, dtype=bool)
             cosets[row[:m]] = True
             yield N.subgroup_of_ids(np.flatnonzero(cosets[head]))
-
-
-def cyclic_by_p_subgroups(G: Group, p: int) -> Iterator[Group]:
-    """Stream of cyclic-by-p subgroups, complete up to conjugacy and
-    deduplicated by element set."""
-    return _cyclic_by_p_stream(G, p, skip_trivial_q=False)
 
 
 # -- verdicts -----------------------------------------------------------
@@ -509,9 +487,6 @@ class StructureReport:
     chief_factors: list[dict] = dc_field(default_factory=list)
     violations: list[str] = dc_field(default_factory=list)
     notes: list[str] = dc_field(default_factory=list)
-
-    def has_violation(self) -> bool:
-        return bool(self.violations)
 
     def to_json(self) -> dict:
         return {

@@ -28,7 +28,6 @@ import contextlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 from .analysis import predicates
@@ -248,6 +247,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         with contextlib.ExitStack() as stack:
             out = stack.enter_context(sink)
             if args.jobs > 1:
+                # imported here: only --jobs above 1 needs the pool, whose modules
+                # would otherwise lengthen every process's start-up
+                from concurrent.futures import ProcessPoolExecutor
+
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
                 results = pool.map(_validate_line, lines)
             else:

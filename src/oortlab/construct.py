@@ -15,7 +15,7 @@ import math
 
 from .errors import ConstructionError, TooLarge
 from .gf import MAX_Q, Field, field, prime_power
-from .perm import Group, Perm, identity, make_perm, perm_from_cycles
+from .perm import Group, Perm, make_perm, perm_from_cycles
 
 
 def _checked(G: Group, expected_order: int, what: str) -> Group:

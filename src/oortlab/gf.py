@@ -63,10 +63,9 @@ class Field:
 
     The modulus and a primitive element are found with polynomial
     arithmetic (:meth:`_poly_add`, :meth:`_poly_mul`).  From them, once
-    per field, come the tables the arithmetic reads: a q x q table of sums
-    and one of negatives, and the powers of the primitive element with
-    their logarithms, so that a product is exp[log a + log b] and an
-    inverse exp[-log a]."""
+    per field, come the tables the arithmetic reads: a q x q table of sums,
+    and the powers of the primitive element with their logarithms, so that
+    a product is exp[log a + log b] and an inverse exp[-log a]."""
 
     def __init__(self, q: int):
         if q > MAX_Q:
@@ -79,7 +78,6 @@ class Field:
         # Sanity: the multiplicative group must be cyclic of order q-1.
         self.primitive = self._find_primitive()
         self._sum = [[self._poly_add(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [row.index(0) for row in self._sum]
         self._exp = [1]  # _exp[i] is primitive^i
         for _ in range(q - 2):
             self._exp.append(self._poly_mul(self._exp[-1], self.primitive))
@@ -186,13 +184,6 @@ class Field:
         self._check(a, b)
         return self._sum[a][b]
 
-    def neg(self, a: int) -> int:
-        self._check(a)
-        return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
         if a == 0 or b == 0:
@@ -207,20 +198,6 @@ class Field:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = 1
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return out
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

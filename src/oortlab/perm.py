@@ -31,17 +31,18 @@ that element's conjugacy class, which is all the class sweeps read.
 :meth:`Group.subgroup_of_ids` turns an id array back into a group whose
 store is a slice of the parent's, keyed at the parent's base, sorted as
 ``sorted()`` sorts permutations (:func:`sorting_order`).  :func:`is_normal`
-reads the conjugation tables, and :func:`quotient_by` numbers the cosets
-of a normal subgroup by their least ids and reads the coset action off
-ids.  ``Perm`` lists exist only at the edges: ``Group.element_list`` and
-``element_set`` build them from the store's rows when read (constructors,
-witness and sifted generators, JSON, the audit's chief-factor code), and a
+reads the conjugation tables, and :func:`coset_heads` labels every id with
+the least id in its coset of a normal subgroup: :func:`quotient_by`
+numbers the cosets by these heads, and ``analysis`` keys the chief
+factors' coordinates by them.  ``Perm`` lists exist only at the edges:
+``Group.element_list`` and ``element_set`` build them from the store's
+rows when read (constructors, witness and sifted generators, JSON), and a
 group below KEYED_MIN_ORDER, where :func:`mulclose` costs less than numpy,
 is listed first and stored from its list.
 
-:func:`mulclose` is the one closure routine on permutations and
-:func:`orbit` the one orbit routine on them (orbits of subgroups held as
-id arrays under the conjugation tables are ``analysis.id_orbit``).
+:func:`mulclose` is the one closure routine on permutations (orbits of
+subgroups held as id arrays under the conjugation tables are
+``analysis.id_orbit``).
 
 Every product of two ``Perm`` tuples goes through ``Perm.__mul__``, one
 ``itemgetter`` call.  The identity of each degree is one shared object, so
@@ -68,7 +69,7 @@ import math
 import os
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -209,27 +210,6 @@ def mulclose(gens: Iterable[Perm], cap: Optional[int] = None) -> Optional[dict[P
                         return None
         frontier = new
     return els
-
-
-def orbit(
-    seed: Hashable, gens: Sequence[Perm], act: Callable[[Perm, Hashable], Hashable]
-) -> Iterator[Hashable]:
-    """Yield the orbit of seed under the group generated by gens, each
-    point once, breadth-first from seed; ``act(g, x)`` is the image of x
-    under g.  Lazy, so a caller may stop at the first point it wants."""
-    seen = {seed}
-    frontier = [seed]
-    yield seed
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = act(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    yield y
-        frontier = new
 
 
 class _Level:
@@ -406,10 +386,9 @@ class _RowLevel:
 
 
 # The Schreier generators of one call are formed and sifted in slices of
-# at most this many entries.  Slices of 2^18 raised validate-both's peak
-# RSS 35.5 -> 37.7 MB (the transients of the DELPERM:7:* chains built in
-# set-up); at 2^16 the set-up's peak is 1.7 MB lower and the chains build
-# no slower.
+# at most this many entries: slices of 2^18 raised the benchmark set-up's
+# peak RSS (the transients of the DELPERM:7:* chains it builds), and at
+# 2^16 the chains build no slower (BENCH_12.json).
 _SLICE_ENTRIES = 1 << 16
 
 
@@ -532,11 +511,10 @@ class _RowChain(StabilizerChain):
 
 # Chains on at least this many points run on image rows (:class:`_RowChain`),
 # smaller ones on `Perm` tuples.  Building each catalogue group's chain with
-# both kernels, the rows lost at every degree up to 64 (C:48 0.16 -> 0.65 ms,
-# A:7 0.14 -> 1.6 ms) and won from 72 up (INV:9:8:cyclic 1.15 -> 0.87 ms,
-# DELPERM:7:A4 30.0 -> 8.9 ms); the catalogue has no degree between 80 and
-# 120, and moving this line from 100 down to 72 moved no workload's
-# requests/s by more than 0.2% (BENCH_12.json).
+# both kernels, the rows lost at every degree up to 64 and won from 72 up;
+# the catalogue has no degree between 80 and 120, and moving this line from
+# 100 down to 72 moved no workload's requests/s by more than 0.2%
+# (BENCH_12.json).
 ROWS_MIN_DEGREE = 100
 
 
@@ -662,11 +640,11 @@ class ElementStore:
         base images of a * b are a(b(c)) at the base points c."""
         return self.lookup(self.key(self.E[a[..., None], self.E[b[..., None], self.base]]))
 
-    def conjugation_table(self, g: Perm) -> np.ndarray:
-        """The id of g x g^-1 for every id x, from its base images
-        g(x(g^-1(c)))."""
+    def conjugation_table(self, g: Perm, ids=slice(None)) -> np.ndarray:
+        """The id of g x g^-1 for every id x, or for the given ids, from its
+        base images g(x(g^-1(c)))."""
         g_row = np.array(g, dtype=np.int32)
-        return self.lookup(self.key(g_row[self.E[:, np.argsort(g_row)[self.base]]]))
+        return self.lookup(self.key(g_row[self.E[ids][:, np.argsort(g_row)[self.base]]]))
 
 
 def _enumerate(chain: StabilizerChain, gens: Sequence[Perm]) -> ElementStore:
@@ -928,11 +906,6 @@ class Group:
                 raise NonMember(f"generator {Perm(g).cycle_str()} not in group")
         return Group(self.degree, gens)
 
-    def orbit(self, point: int) -> frozenset[int]:
-        if not (0 <= point < self.degree):
-            raise ValueError(f"point {point} out of range for degree {self.degree}")
-        return frozenset(orbit(point, self.generators, lambda g, x: g[x]))
-
     def random_elements(self, k: int, seed: int = 0) -> list[Perm]:
         """Deterministic pseudo-random sample (with replacement) of elements."""
         import random
@@ -999,18 +972,6 @@ class QuotientMap:
         self.coset = coset
         self.rep_ids = rep_ids  # the least id of each coset
 
-    def _id(self, g: Perm) -> int:
-        if not self.domain.contains(g):
-            raise NonMember(f"{Perm(g).cycle_str()} not in the domain group")
-        return int(self.domain.store().ids_of([Perm(g)])[0])
-
-    def coset_of(self, g: Perm) -> int:
-        return int(self.coset[self._id(g)])
-
-    def __call__(self, g: Perm) -> Perm:
-        S = self.domain.store()
-        return Perm(self.coset[S.mul(np.array(self._id(g)), self.rep_ids)].tolist())
-
 
 def is_normal(G: Group, H: Group) -> bool:
     """Whether H is a normal subgroup of G: every generator of H lies in G
@@ -1026,22 +987,28 @@ def is_normal(G: Group, H: Group) -> bool:
     return all(inside[t[ids]].all() for t in G.conjugation_tables())
 
 
+def coset_heads(G: Group, N: Group) -> np.ndarray:
+    """For every id x of G, the least id in the coset xN of a normal
+    subgroup N of G: the least id joined to x by right multiplication by
+    N's generators, x -> x n (:func:`_least_labels`).  Ids in one coset
+    share their head, and the head of N itself is 0, the identity."""
+    S, n = G.store(), G.order()
+    return _least_labels(n, [S.mul(np.arange(n), h) for h in S.ids_of(N.generators)])
+
+
 def quotient_by(G: Group, N: Group) -> tuple[Group, QuotientMap]:
     """Permutation action of G on the left cosets of a normal subgroup N.
 
     The kernel of the action is exactly N, so the image is faithful for G/N.
-    Cosets are numbered in the order of their least ids (the order in which
-    G's element list meets them), found on G's ids as the least id joined
-    to each by right multiplication by N's generators, x -> x n
-    (:func:`_least_labels`); the generators' action is read off the ids of
-    their products with each coset's least id.  G's ``Perm`` list is never
-    built.
+    Cosets are numbered in the order of their heads (:func:`coset_heads`),
+    the order in which G's element list meets them; the generators' action
+    is read off the ids of their products with each head.  G's ``Perm``
+    list is never built.
     """
     if not is_normal(G, N):
         raise NotNormal("subgroup is not normal in the ambient group")
-    S, n = G.store(), G.order()
-    head = _least_labels(n, [S.mul(np.arange(n), h) for h in S.ids_of(N.generators)])
-    rep_ids, coset = np.unique(head, return_inverse=True)
+    S = G.store()
+    rep_ids, coset = np.unique(coset_heads(G, N), return_inverse=True)
     qmap = QuotientMap(G, N, coset, rep_ids)
     qgens = [Perm(row) for row in coset[S.mul(S.ids_of(G.generators)[:, None], rep_ids)].tolist()]
     Q = Group(len(rep_ids), qgens, check=False)

@@ -17,8 +17,8 @@ from oortlab.analysis import (
     is_p_group,
     is_solvable,
     normal_closure,
-    o_p,
     o_p_prime,
+    o_pi,
     p_part,
     sylow,
 )
@@ -169,7 +169,7 @@ def test_criterion_4_structure_audits(capsys, catalogue, groups):
                     continue
                 rep = even_structure_report(ctx)
                 audited += 1
-                if rep.has_violation():
+                if rep.violations:
                     bad.append((spec, 2, rep.violations))
                 if spec.startswith("DELPERM"):
                     r = int(spec.split(":")[1])
@@ -182,7 +182,7 @@ def test_criterion_4_structure_audits(capsys, catalogue, groups):
             else:
                 rep = odd_structure_report(ctx)
                 audited += 1
-                if rep.has_violation():
+                if rep.violations:
                     bad.append((spec, p, rep.violations))
                 if rep.case not in ("G=RP", "G=RD", "G/R almost simple"):
                     bad.append((spec, p, rep.case))
@@ -209,7 +209,7 @@ def test_criterion_5_engine_properties(capsys, catalogue, groups):
             for p in PRIMES:
                 if n % p:
                     continue
-                O = o_p(G, p)
+                O = o_pi(G, {p})
                 oset = O.element_set()
                 ogens = list(O.generators)
                 # x lies in the p-core iff adjoining its normal closure

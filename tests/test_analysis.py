@@ -21,7 +21,6 @@ from oortlab.analysis import (
     fixed_space_dim,
     is_abelian,
     is_nilpotent,
-    is_normal,
     is_p_group,
     is_perfect,
     is_simple,
@@ -30,18 +29,16 @@ from oortlab.analysis import (
     minimal_normal_subgroups,
     normal_closure,
     normalizer,
-    o_p,
     o_p_prime,
     o_pi,
-    omega1,
     p_part,
     subgroups_of_p_group,
     sylow,
 )
 from oortlab.construct import build_group
-from oortlab.errors import CapExceeded, NonMember, NonSubgroup, NotPGroup
+from oortlab.errors import CapExceeded, NonMember, NonSubgroup
 from oortlab.gf import factorize
-from oortlab.perm import Group, Perm, enum_cap, mulclose, perm_from_cycles
+from oortlab.perm import Group, Perm, enum_cap, identity, is_normal, mulclose, perm_from_cycles
 
 
 S4 = build_group("S:4")
@@ -303,7 +300,7 @@ def test_sylow_keeps_its_choices(spec):
 
 def test_o_pi_values():
     d18 = build_group("D:18")
-    assert o_p(d18, 3).order() == 9
+    assert o_pi(d18, {3}).order() == 9
     assert o_p_prime(d18, 3).is_trivial()
     assert o_p_prime(S4, 2).is_trivial()
     assert o_p_prime(S4, 3).order() == 4  # the Klein four group
@@ -364,14 +361,6 @@ def test_o_pi_conjugation_invariant():
     core = o_p_prime(S4, 3)
     conj = {g * x * g.inv() for x in core.element_list()}
     assert conj == set(core.element_list())
-
-
-def test_omega1():
-    assert omega1(build_group("Q:8"), 2).order() == 2
-    assert omega1(build_group("D:8"), 2).order() == 8
-    assert omega1(build_group("C:9"), 3).order() == 3
-    with pytest.raises(NotPGroup):
-        omega1(build_group("C:6"), 2)
 
 
 def test_subgroup_counts_of_p_groups():
@@ -475,6 +464,83 @@ def test_untwisted_order4_trace_differs():
     g4 = next(x for x in P.element_list() if x.order() == 4)
     _, tr, tr_sym = factor_action(G, X, g4)
     assert tr == 4 and tr_sym == -1
+
+
+def _coset_key_reference(lower, h):
+    """The least element of the coset h * lower, as ChiefFactor.coset_key
+    named a coset when the factors ran on `Perm`s."""
+    return min(h * n for n in lower.element_list())
+
+
+def _build_chief_factor_reference(degree, lower, upper):
+    """_build_chief_factor as it ran on `Perm`s: (prime, rank, basis,
+    coordinates keyed by each coset's least element), the basis taken from
+    upper's sorted element list."""
+    n = upper.order() // lower.order()
+    ((r, d),) = factorize(n).items()
+    coords = {_coset_key_reference(lower, identity(degree)): ()}
+    basis = []
+    for h in upper.element_list():
+        if len(coords) == n:
+            break
+        if _coset_key_reference(lower, h) in coords:
+            continue
+        new_coords = {}
+        for rep_key, c in coords.items():
+            cur = rep_key
+            for j in range(r):
+                new_coords[_coset_key_reference(lower, cur)] = c + (j,)
+                cur = cur * h
+        basis.append(h)
+        coords = new_coords
+    assert len(coords) == n
+    return r, d, basis, coords
+
+
+def _factor_action_reference(lower, r, basis, coords, g):
+    """factor_action as it formed g b g^-1 as `Perm`s: (matrix, trace, symmetric trace)."""
+    ginv = g.inv()
+    mat = np.array([coords[_coset_key_reference(lower, g * b * ginv)] for b in basis], dtype=np.int64).T % r
+    tr = int(mat.trace()) % r
+    return mat, tr, tr - r if tr > r // 2 else tr
+
+
+@pytest.mark.parametrize(
+    "spec", ["D:36", "INV:15:16:cyclic", "DELPERM:5:A4", "DELPERM:5:S4:sign", "PROD:(PROD:(S:3)x(S:3))x(C:5)"]
+)
+def test_chief_factors_match_the_perm_reference(spec):
+    """Each factor of the odd core's chief series, on G's ids, against the
+    `Perm` reference: the same prime and rank, the same traces for sampled
+    elements of G, and the same fixed-space dimension for each Klein four
+    of the Sylow 2-subgroup (the two bases may differ).  The DELPERM
+    factors have rank 3; the last group's top factor lies over a lower
+    term with two generators."""
+    from oortlab.classify import Context
+
+    G = build_group(spec)
+    series = chief_series_within(G, o_p_prime(G, 2))
+    kleins = Context(G, 2).kleins
+    assert series and kleins
+    for X in series:
+        r, d, basis, coords = _build_chief_factor_reference(G.degree, X.lower, X.upper)
+        assert (X.prime, X.rank) == (r, d)
+        for g in G.random_elements(8, seed=X.order()):
+            assert factor_action(G, X, g)[1:] == _factor_action_reference(X.lower, r, basis, coords, g)[1:]
+        for K in kleins:
+            mats = [factor_action(G, X, g)[0] for g in K.generators]
+            ref = [_factor_action_reference(X.lower, r, basis, coords, g)[0] for g in K.generators]
+            assert fixed_space_dim(mats, r) == fixed_space_dim(ref, r)
+
+
+def test_factor_action_rejects_a_non_member():
+    """An element outside G raises NonMember instead of being read as
+    whatever element of G its key lookup lands on."""
+    G = build_group("DELPERM:5:A4")
+    X = chief_series_within(G, o_p_prime(G, 2))[0]
+    g = perm_from_cycles(G.degree, [(0, 1)])
+    assert not G.contains(g)
+    with pytest.raises(NonMember):
+        factor_action(G, X, g)
 
 
 def test_fixed_space_dim():
