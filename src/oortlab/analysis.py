@@ -9,7 +9,10 @@ read G's base columns only: ``centralizer`` compares g(h(b)) with h(g(b)),
 ``normalizer`` forms g h g^-1 at the base and looks its key up among H's
 keys, and ``sylow`` reads element orders from the base columns and grows
 P as ids.  Their results are cut from G's store by id, so on a G of order
-at least KEYED_MIN_ORDER none of them builds G's ``Perm`` list.
+at least KEYED_MIN_ORDER none of them builds G's ``Perm`` list.  Orders
+decide before any scan where they can: ``sylow`` returns G when |G| is a
+power of p and grows each other Sylow subgroup once per (G, p), kept on G;
+``normalizer`` returns G for a trivial H or one as large as G.
 
 Conjugacy classes are read off G's class labels (``Group.class_labels``).
 ``o_pi`` and the one minimal-normal scan behind ``minimal_normal_subgroups``
@@ -19,12 +22,14 @@ representatives' orders from G's store, and the scan orders its masks by
 the ranks of their ids in G's sorted rows, so none of them lists G.
 ``normal_closure`` grows one stabilizer chain and never lists G either.
 :func:`id_orbit` walks the orbit of a subgroup held as sorted ids under
-G's conjugation tables, and ``subgroups_of_p_group`` builds the subgroup
-lattice of P over P's multiplication table of ids; each subgroup keeps
-the generators it was built from.  A chief factor is held on G's ids as
-well: its basis is ids, its coordinates are keyed by the coset heads
-that ``quotient_by`` numbers its cosets by (``perm.coset_heads``), and
-conjugation on it reads the conjugates' ids from G's store.
+G's conjugation tables, and ``subgroups_of_p_group`` lists the subgroups
+of a cyclic P from its element orders, one per order, and builds the
+subgroup lattice of any other P over P's multiplication table of ids;
+each subgroup keeps the generators it was built from.  A chief factor is
+held on G's ids as well: its basis is ids, its coordinates are keyed by
+the coset heads that ``quotient_by`` numbers its cosets by
+(``perm.coset_heads``), and conjugation on it reads the conjugates' ids
+from G's store.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import perm
 from .errors import CapExceeded, NonMember, NonSubgroup, NotNormal, NotPGroup, TooLarge
 from .gf import factorize
 from .perm import (
-    KEYED_MIN_ORDER,
     Group,
     Perm,
     StabilizerChain,
@@ -85,7 +90,7 @@ def normalizer(G: Group, H: Group) -> Group:
     """N_G(H) = {g : g H g^-1 = H}.  Each conjugate g h g^-1 is formed at
     G's base columns only and looked up by its key among H's keys."""
     hs = _generator_rows(G, H)
-    if H.is_trivial():
+    if H.is_trivial() or H.order() == G.order():
         return G
     S = G.store()
     hkeys = np.sort(S.keys_of(H))
@@ -101,11 +106,12 @@ def normalizer(G: Group, H: Group) -> Group:
 def conjugacy_class(G: Group, x: Perm) -> set[Perm]:
     """The class of x in G: the elements whose class label (see
     ``Group.class_labels``) is x's.  Raises NonMember if x is not in G."""
-    if not G.contains(x):
+    i = G.store().id_of(x)
+    if i is None:
         raise NonMember(f"{Perm(x).cycle_str()} not in group")
     labels = G.class_labels()
     els = G.element_list()
-    label = labels[G.store().ids_of([x])[0]]
+    label = labels[i]
     return {els[i] for i in np.flatnonzero(labels == label).tolist()}
 
 
@@ -268,23 +274,38 @@ def _p_parts(S, ids: np.ndarray, orders: np.ndarray, p: int) -> np.ndarray:
 
 
 def sylow(G: Group, p: int) -> Group:
-    """A Sylow p-subgroup, grown through normalizers: a p-subgroup that is
-    not yet Sylow has p-elements in its normalizer outside itself.
+    """A Sylow p-subgroup: G itself when |G| is a power of p, else grown
+    through normalizers (a p-subgroup that is not yet Sylow has p-elements
+    in its normalizer outside itself) once per (G, p) and kept in G's
+    ``_sylows``, so both verdict routes read the same P.
 
     The seed is the first element of G, in element-list order, whose order
     p divides, and each new generator is the p-part of the first such
     element of the normalizer, in its sorted order, whose p-part lies
     outside.  The result keeps those generators.  A G of order at least
-    KEYED_MIN_ORDER is read from its store: orders from the base columns,
-    p-parts as ids, P grown by the cosets of each new generator's powers
-    (:func:`_extended`) and cut from G by id, so no element of G becomes
-    a permutation but the generators.  A smaller G runs the same steps on
-    its element list and :func:`mulclose`, which costs less there."""
+    ``perm.KEYED_MIN_ORDER`` is read from its store
+    (:func:`_sylow_by_ids`); a smaller G runs the same steps on its element
+    list and :func:`mulclose`, which costs less there
+    (:func:`_sylow_by_perms`)."""
     target = p_part(G.order(), {p})
-    if target == 1:
-        return Group(G.degree, [])
-    if G.order() < KEYED_MIN_ORDER:
-        return _sylow_by_perms(G, p, target)
+    if target == G.order():
+        return G
+    if p not in G._sylows:
+        if target == 1:
+            P = Group(G.degree, [])
+        elif G.order() < perm.KEYED_MIN_ORDER:
+            P = _sylow_by_perms(G, p, target)
+        else:
+            P = _sylow_by_ids(G, p, target)
+        G._sylows[p] = P
+    return G._sylows[p]
+
+
+def _sylow_by_ids(G: Group, p: int, target: int) -> Group:
+    """:func:`sylow` on G's store: orders from the base columns, p-parts as
+    ids, P grown by the cosets of each new generator's powers
+    (:func:`_extended`) and cut from G by id, so no element of G becomes a
+    permutation but the generators."""
     S = G.store()
     start, stop = 0, min(8, G.order())  # the seed is usually among the first ids: the generators
     while True:
@@ -341,15 +362,33 @@ def is_p_group(H: Group, p: int) -> bool:
 
 
 def subgroups_of_p_group(P: Group, p: int) -> list[Group]:
-    """All subgroups of a p-group, built layer by layer: each subgroup of
+    """All subgroups of a p-group, by order and, within an order, in the
+    order of their sorted element lists.  A cyclic P (one with an element
+    of order |P|) has one subgroup of each order k, its elements of order
+    dividing k, generated by its first element of order k; any other P is
+    built layer by layer (:func:`_subgroup_layers`)."""
+    if not is_p_group(P, p):
+        raise NotPGroup(f"group of order {P.order()} is not a {p}-group")
+    S, n = P.store(), P.order()
+    orders = S.orders(np.arange(n))
+    if not (orders == n).any():
+        return _subgroup_layers(P, p)
+    out, k = [], 1
+    while k <= n:  # the orders are powers of p: one divides k when it is at most k
+        gens = [Perm(S.E[np.argmax(orders == k)].tolist())] if k > 1 else []
+        out.append(P.subgroup_of_ids(np.flatnonzero(orders <= k), gens))
+        k *= p
+    return out
+
+
+def _subgroup_layers(P: Group, p: int) -> list[Group]:
+    """All subgroups of a p-group P, built layer by layer: each subgroup of
     order p^(k+1) is the union of the cosets a x^j (0 <= j < p) of a
     subgroup a of order p^k, for an x outside a that normalizes it and has
     x^p in a.  The elements are numbered in sorted order and the layers are
     built over P's multiplication table of those numbers, one layer's
     subgroups together as the rows of an array, so each layer is listed in
     the order of its subgroups' sorted element lists."""
-    if not is_p_group(P, p):
-        raise NotPGroup(f"group of order {P.order()} is not a {p}-group")
     S = P.store()
     srt = sorting_order(S.E)  # number i is the id srt[i]
     n = len(srt)
@@ -524,12 +563,15 @@ class ChiefFactor:
         return self.prime**self.rank
 
 
-def _build_chief_factor(G: Group, lower: Group, upper: Group, inside: np.ndarray) -> ChiefFactor:
-    """The factor upper/lower, upper given also as a mask over G's ids.
-    Each new basis vector b is the first id of upper, in id order, whose
-    coset has no coordinates yet; the cosets known so far times b^j get
-    their coordinates extended by j, for j < prime, and times b^prime
-    must come back to themselves (b^prime lies in lower)."""
+def _build_chief_factor(
+    G: Group, lower: Group, lower_gens: Sequence[int], upper: Group, inside: np.ndarray
+) -> ChiefFactor:
+    """The factor upper/lower, upper given also as a mask over G's ids and
+    lower also by the ids of generators.  Each new basis vector b is the
+    first id of upper, in id order, whose coset has no coordinates yet; the
+    cosets known so far times b^j get their coordinates extended by j, for
+    j < prime, and times b^prime must come back to themselves (b^prime lies
+    in lower)."""
     n = upper.order() // lower.order()
     fac = factorize(n)
     if len(fac) != 1:
@@ -537,7 +579,7 @@ def _build_chief_factor(G: Group, lower: Group, upper: Group, inside: np.ndarray
     ((r, d),) = fac.items()
     if n > FACTOR_CAP:
         raise TooLarge(f"factor order {n} exceeds coordinateization cap {FACTOR_CAP}")
-    S, head = G.store(), coset_heads(G, lower)
+    S, head = G.store(), coset_heads(G, lower_gens)
     heads, coords, basis = np.zeros(1, dtype=np.intp), [()], []
     known = np.zeros(len(head), dtype=bool)  # known[h]: the coset with head h has coordinates
     while True:
@@ -568,7 +610,9 @@ def chief_series_within(G: Group, R: Group) -> list[ChiefFactor]:
     minimal normal subgroup of G/R_i inside R/R_i: the image of one of G
     above R_i inside R (:func:`_minimal_normal_above`, on G's ids, so no
     coset action is built), the smallest and then the least element list.
-    Raises NonSubgroup when R is not inside G, NotNormal when not normal.
+    The bases of the factors below R_i generate it, so R_i's cosets are
+    numbered from their ids.  Raises NonSubgroup when R is not inside G,
+    NotNormal when not normal.
     """
     if not all(map(G.contains, R.generators)):
         raise NonSubgroup("R is not a subgroup of G")
@@ -583,7 +627,7 @@ def chief_series_within(G: Group, R: Group) -> list[ChiefFactor]:
     while lower.order() < R.order():
         below = min(_minimal_normal_above(G, below, inside), key=np.count_nonzero)
         upper = _filtered(G, below)
-        factors.append(_build_chief_factor(G, lower, upper, below))
+        factors.append(_build_chief_factor(G, lower, [b for X in factors for b in X.basis], upper, below))
         lower = upper
     return factors
 
@@ -592,8 +636,9 @@ def factor_action(G: Group, X: ChiefFactor, g: Perm) -> tuple[np.ndarray, int, i
     """Matrix of conjugation by g on X in the stored basis, plus its trace
     in GF(r) and lifted to the symmetric residue range.  The ids of the
     g b g^-1 come from G's store (``ElementStore.conjugation_table``) and
-    are read by their coset heads.  Raises NonMember if g is not in G."""
-    if not G.contains(g):
+    are read by their coset heads.  Raises NonMember if g is not in G
+    (``ElementStore.id_of``)."""
+    if G.store().id_of(g) is None:
         raise NonMember(f"{Perm(g).cycle_str()} not in group")
     r = X.prime
     conj = G.store().conjugation_table(g, X.basis)

@@ -16,24 +16,31 @@ orders from the store.  Permutations are built only at the edges: the
 generators the witnesses print, sifted from a candidate's own sorted
 rows when they are read.
 
+Both routes read one Sylow p-subgroup of G (``analysis.sylow`` keeps it
+on G) and one memo of normalizers and centralizers (:func:`_local`), kept
+on G in ``G._locals`` and keyed by name and by the subgroup's keys at G's
+base, so N_G(P) and N_G(Q) are computed once for both.  The memos die
+with G.  Where orders decide, the definition route skips its scans: a
+subgroup of P alone in its order is its own class rep, and when |N_G(Q):Q|
+is a power of p, Q is the only candidate over Q.
+
 The criterion, the structure reports and the claim audit share one
 :class:`Context` per (G, p), holding P, the p'-core, the criterion
-verdict, the p-local subgroups they all read (the cyclic chain under a
+verdict and the p-local subgroups they all read (the cyclic chain under a
 cyclic P and the Klein fours of P, each cut from P's store by id with the
-generators it is built from) and one memo of the normalizer and
-centralizer of each such subgroup, P included, keyed by the subgroup's
-keys at G's base.  On a G of order at least KEYED_MIN_ORDER the criterion
-never lists G: sylow, the normalizers and centralizers and the inversion
-test read G's store.  Nor does the audit: the reports read element orders
-and memberships from stores and ids, G/R is the coset action on G's ids,
-and ``basic1`` compares subgroups by their keys and tests each stream
-candidate against one orbit of N_G(P)'s ids.  The definition route never
-takes a context.
+generators it is built from).  On a G of order at least KEYED_MIN_ORDER
+the criterion never lists G: sylow, the normalizers and centralizers and
+the inversion test read G's store.  Nor does the audit: the reports read
+element orders and memberships from stores and ids, G/R is the coset
+action on G's ids, and ``basic1`` compares subgroups by their keys and
+tests each stream candidate against one orbit of N_G(P)'s ids.  The
+definition route never takes a context.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
@@ -54,6 +61,7 @@ from .analysis import (
     is_solvable,
     normalizer,
     o_p_prime,
+    p_part,
     subgroups_of_p_group,
     sylow,
 )
@@ -127,29 +135,48 @@ def allowed_shape(shape: ShapeVerdict, p: int) -> bool:
 # -- cyclic-by-p subgroups ----------------------------------------------
 
 
+def _local(G: Group, name: str, H: Group) -> Group:
+    """N_G(H) or C_G(H), as ``name`` says ("normalizer" or "centralizer"),
+    memoized in ``G._locals`` by the name and the bytes of the sorted keys
+    of H's elements at G's base, which name them as their ids in G would.
+    The function is this module's binding of that name at call time, so a
+    rebinding (a test's counter, a tracer's wrapper) is the one that runs.
+    A result that is G itself is held as None, so G holds no reference to
+    itself."""
+    key = (name, np.sort(G.store().keys_of(H)).tobytes())
+    if key not in G._locals:
+        K = {"normalizer": normalizer, "centralizer": centralizer}[name](G, H)
+        G._locals[key] = None if K is G else K
+    K = G._locals[key]
+    return G if K is None else K
+
+
 def _sylow_subgroup_classes(G: Group, p: int) -> tuple[Group, list[Group]]:
     """One fixed Sylow p-subgroup P plus one representative per
     G-conjugacy class of subgroups of P: the first of its class in the
     order of :func:`subgroups_of_p_group`.
 
     Conjugate Q give conjugate families <Q, t>, so class representatives
-    keep the stream conjugacy-representative-complete.  Each class is an
-    orbit of sorted id arrays under G's conjugation tables.
+    keep the stream conjugacy-representative-complete.  Conjugates have
+    equal orders, so a subgroup of P alone in its order is its own class's
+    only member in P.  Any other class is an orbit of sorted id arrays
+    under G's conjugation tables, which are read only then.
     """
     P = sylow(G, p)
     if P.is_trivial():
         return P, [P]
     subs = subgroups_of_p_group(P, p)
+    alone = {n for n, k in Counter(Q.order() for Q in subs).items() if k == 1}
     S = G.store()
-    tables = G.conjugation_tables()
     seen: set[bytes] = set()
     reps = []
     for Q in subs:
-        ids = np.sort(S.lookup(S.keys_of(Q)))
-        if ids.tobytes() in seen:
-            continue
+        if Q.order() not in alone:
+            ids = np.sort(S.lookup(S.keys_of(Q)))
+            if ids.tobytes() in seen:
+                continue
+            seen |= id_orbit(ids, G.conjugation_tables())
         reps.append(Q)
-        seen |= id_orbit(ids, tables)
     return P, reps
 
 
@@ -163,17 +190,23 @@ def _cyclic_by_p_stream(G: Group, p: int, skip_trivial_q: bool) -> Iterator[Grou
     each coset Qt is labelled by its first element (its head), every head
     t is tried in turn, and <Q, t> is emitted unless an earlier head gave
     the same cosets.  The labels and the powers of all heads are computed
-    together for each Q.  With skip_trivial_q the Q = 1 family (all
-    p'-cyclic subgroups, always of allowed shape) is omitted.
+    together for each Q.  When |N:Q| is a power of p, every coset but Q
+    itself has order a power of p > 1 in N/Q, so Q is the only candidate
+    and the walk is skipped.  With skip_trivial_q the Q = 1 family (all
+    p'-cyclic subgroups, always of allowed shape) is omitted.  N comes from
+    G's memo (:func:`_local`), which the criterion reads as well.
     """
     P, reps = _sylow_subgroup_classes(G, p)
     for Q in reps:
         if skip_trivial_q and Q.is_trivial():
             continue
-        N = G if Q.is_trivial() else normalizer(G, Q)
+        N = G if Q.is_trivial() else _local(G, "normalizer", Q)
         S = N.store()
         n = N.order()
         q = S.lookup(S.keys_of(Q))
+        if p_part(n // Q.order(), {p}) == n // Q.order():
+            yield N.subgroup_of_ids(q)
+            continue
         t = np.arange(n)
         head = t.copy()  # head[t]: the least id of the coset Qt
         step = max(1, (1 << 18) // n)  # about 2^18 products at a time bound the memory
@@ -264,22 +297,17 @@ class Context:
     use: a Sylow p-subgroup P, its normalizer N and centralizer C in G,
     the p'-core R, ncq = |N/C|, the shape of P, the nontrivial subgroups
     of a cyclic P (:attr:`chain`), the Klein fours of P (:attr:`kleins`),
-    and the criterion verdict.  :meth:`local` computes the normalizer or the
-    centralizer of each subgroup once."""
+    and the criterion verdict.  P and the normalizers and centralizers
+    (:meth:`local`) live on G, where the definition route finds them too;
+    the rest dies with the context."""
 
     def __init__(self, G: Group, p: int):
         self.G = G
         self.p = p
-        self._local: dict[tuple, Group] = {}
 
-    def local(self, f, H: Group) -> Group:
-        """f(G, H) for f in {normalizer, centralizer}, memoized by f and
-        the bytes of the sorted keys of H's elements at G's base, which
-        name them as their ids in G would."""
-        key = (f, np.sort(self.G.store().keys_of(H)).tobytes())
-        if key not in self._local:
-            self._local[key] = f(self.G, H)
-        return self._local[key]
+    def local(self, name: str, H: Group) -> Group:
+        """N_G(H) or C_G(H) from G's memo (:func:`_local`)."""
+        return _local(self.G, name, H)
 
     @cached_property
     def P(self) -> Group:
@@ -287,11 +315,11 @@ class Context:
 
     @cached_property
     def N(self) -> Group:
-        return self.local(normalizer, self.P)
+        return self.local("normalizer", self.P)
 
     @cached_property
     def C(self) -> Group:
-        return self.local(centralizer, self.P)
+        return self.local("centralizer", self.P)
 
     @cached_property
     def shape(self) -> ShapeVerdict:
@@ -361,7 +389,7 @@ class Context:
             if sh.kind != "Dihedral":
                 return OortVerdict(False, "CriterionTwo", "Sylow neither cyclic nor dihedral", ())
             for K in self.kleins:
-                if self.local(centralizer, K).order() != 4:
+                if self.local("centralizer", K).order() != 4:
                     return OortVerdict(False, "CriterionTwo", "Klein four not self-centralizing", ())
             return OortVerdict(True, "CriterionTwo", "Sylow dihedral self-centralizing Kleins", ())
         if P.is_trivial():
@@ -371,10 +399,10 @@ class Context:
         if self.ncq == 1:
             return OortVerdict(True, "CriterionOdd", "N=C", ())
         Q = self.chain[-1]
-        CQ = self.local(centralizer, Q)
+        CQ = self.local("centralizer", Q)
         if not is_abelian(CQ):
             return OortVerdict(False, "CriterionOdd", "C_G(Q) nonabelian", ())
-        if not _inverting_outside(self.local(normalizer, Q), CQ):
+        if not _inverting_outside(self.local("normalizer", Q), CQ):
             return OortVerdict(
                 False, "CriterionOdd", "normalizer element is not an inverting involution", ()
             )
@@ -525,7 +553,7 @@ def odd_structure_report(ctx: Context) -> StructureReport:
     c_semi = R.order() * P.order() == G.order()
     c_sylow = ncq == 1
     c_all = all(
-        ctx.local(normalizer, Q).order() == ctx.local(centralizer, Q).order()
+        ctx.local("normalizer", Q).order() == ctx.local("centralizer", Q).order()
         for Q in ctx.chain
     )
     if not (c_semi == c_sylow == c_all):
@@ -581,7 +609,7 @@ def _a4_embeds(ctx: Context) -> bool:
     normalized but not centralized by an element of order 3 (sufficient by
     Sylow conjugacy)."""
     return any(
-        (_orders_outside(ctx.local(normalizer, K), ctx.local(centralizer, K)) == 3).any()
+        (_orders_outside(ctx.local("normalizer", K), ctx.local("centralizer", K)) == 3).any()
         for K in ctx.kleins
     )
 
@@ -602,7 +630,7 @@ def even_structure_report(ctx: Context) -> StructureReport:
     in_r = np.zeros(G.order(), dtype=bool)
     in_r[S.lookup(S.keys_of(R))] = True
     for K in ctx.kleins:
-        fixed = np.count_nonzero(in_r[S.lookup(S.keys_of(ctx.local(centralizer, K)))])
+        fixed = np.count_nonzero(in_r[S.lookup(S.keys_of(ctx.local("centralizer", K)))])
         if fixed != 1:
             violations.append(
                 f"THEOREM-VIOLATION: a Klein four centralizes {fixed} odd-core elements"
@@ -701,7 +729,7 @@ def _check_two_cases_odd(ctx: Context) -> bool:
     if ctx.shape.kind != "Cyclic" and not ctx.P.is_trivial():
         return False
     for Q in ctx.chain:
-        N, C = ctx.local(normalizer, Q), ctx.local(centralizer, Q)
+        N, C = ctx.local("normalizer", Q), ctx.local("centralizer", Q)
         if N.order() == C.order():
             continue
         if N.order() != 2 * C.order() or not is_abelian(C) or not _inverting_outside(N, C):
@@ -738,7 +766,7 @@ def _check_basic1(ctx: Context) -> bool:
     # with N(Q) = N(P) and C(Q) = C(P) the inversion check above covers Q
     np_keys, cp_keys = keys(NP), keys(CP)
     for Q in ctx.chain:
-        if keys(ctx.local(centralizer, Q)) != cp_keys or keys(ctx.local(normalizer, Q)) != np_keys:
+        if keys(ctx.local("centralizer", Q)) != cp_keys or keys(ctx.local("normalizer", Q)) != np_keys:
             return False
     np_ids = np.sort(S.lookup(S.keys_of(NP)))
     orbit = id_orbit(np_ids, G.conjugation_tables())

@@ -570,10 +570,26 @@ class ElementStore:
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Ids of the elements of G with the given keys."""
         if self.keys is None:
-            keys_by_id = self.key(self.E[:, self.base])
-            self.ids = np.argsort(keys_by_id)
-            self.keys = keys_by_id[self.ids]
+            self._sort_keys()
         return self.ids[np.searchsorted(self.keys, keys)]
+
+    def _sort_keys(self) -> None:
+        keys_by_id = self.key(self.E[:, self.base])
+        self.ids = np.argsort(keys_by_id)
+        self.keys = keys_by_id[self.ids]
+
+    def id_of(self, g: Perm) -> Optional[int]:
+        """The id of g if g lies in G, else None: a key names at most one
+        element of G, so g lies in G exactly when the row that its key
+        names is g."""
+        row = np.asarray(g, dtype=np.int32)
+        if len(row) != self.E.shape[1]:
+            raise DegreeMismatch(f"degree {len(row)} vs group degree {self.E.shape[1]}")
+        if self.keys is None:
+            self._sort_keys()
+        at = np.searchsorted(self.keys, self.key(row[None, self.base]))[0]
+        i = int(self.ids[min(at, len(self.ids) - 1)])
+        return i if np.array_equal(self.E[i], row) else None
 
     def orders(self, ids: np.ndarray) -> np.ndarray:
         """Orders of the elements with the given ids.  Only the identity
@@ -699,9 +715,15 @@ class Group:
     """A permutation group on a fixed point set, given by generators or by
     its element set.
 
-    Immutable once built.  The chain, the element store and the tables
-    derived from them are computed lazily but depend only on the
-    generator list or the element set, so concurrent readers agree.
+    Immutable once built.  Every cache is declared in ``__init__`` and
+    filled on first use: the chain, the order, the element list and set,
+    the store, the small generators, the conjugation tables and the class
+    labels, which depend only on the generator list or the element set, so
+    concurrent readers agree; and two memos that die with the group,
+    ``_sylows`` (p to the Sylow p-subgroup that ``analysis.sylow`` found)
+    and ``_locals`` (the normalizers and centralizers that ``classify``
+    computed in it, keyed by name and by the subgroup's sorted keys at this
+    group's base), which both verdict routes read.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm], *, check: bool = True):
@@ -728,6 +750,9 @@ class Group:
         self._small_generators: Optional[tuple[Perm, ...]] = None
         self._conjugation_tables: Optional[list[np.ndarray]] = None
         self._class_labels: Optional[np.ndarray] = None
+        # memos that never hold the group itself, so it is freed when dropped
+        self._sylows: dict[int, Group] = {}
+        self._locals: dict[tuple[str, bytes], Optional[Group]] = {}
 
     def __repr__(self) -> str:
         return f"Group(degree={self.degree}, ngens={len(self.generators)}, order={self.order()})"
@@ -987,13 +1012,14 @@ def is_normal(G: Group, H: Group) -> bool:
     return all(inside[t[ids]].all() for t in G.conjugation_tables())
 
 
-def coset_heads(G: Group, N: Group) -> np.ndarray:
-    """For every id x of G, the least id in the coset xN of a normal
-    subgroup N of G: the least id joined to x by right multiplication by
-    N's generators, x -> x n (:func:`_least_labels`).  Ids in one coset
-    share their head, and the head of N itself is 0, the identity."""
+def coset_heads(G: Group, gen_ids: Sequence[int]) -> np.ndarray:
+    """For every id x of G, the least id in the coset xN of the normal
+    subgroup N of G generated by the elements with ids ``gen_ids``: the
+    least id joined to x by right multiplication by those generators,
+    x -> x n (:func:`_least_labels`).  Ids in one coset share their head,
+    and the head of N itself is 0, the identity."""
     S, n = G.store(), G.order()
-    return _least_labels(n, [S.mul(np.arange(n), h) for h in S.ids_of(N.generators)])
+    return _least_labels(n, [S.mul(np.arange(n), h) for h in gen_ids])
 
 
 def quotient_by(G: Group, N: Group) -> tuple[Group, QuotientMap]:
@@ -1008,7 +1034,7 @@ def quotient_by(G: Group, N: Group) -> tuple[Group, QuotientMap]:
     if not is_normal(G, N):
         raise NotNormal("subgroup is not normal in the ambient group")
     S = G.store()
-    rep_ids, coset = np.unique(coset_heads(G, N), return_inverse=True)
+    rep_ids, coset = np.unique(coset_heads(G, S.ids_of(N.generators)), return_inverse=True)
     qmap = QuotientMap(G, N, coset, rep_ids)
     qgens = [Perm(row) for row in coset[S.mul(S.ids_of(G.generators)[:, None], rep_ids)].tolist()]
     Q = Group(len(rep_ids), qgens, check=False)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oortlab.analysis import (
     _class_reps,
+    _subgroup_layers,
     _close,
     _minimal_normal_above,
     _p_element_part,
@@ -35,6 +36,7 @@ from oortlab.analysis import (
     subgroups_of_p_group,
     sylow,
 )
+from oortlab.cli import bundled_manifest_text, parse_manifest
 from oortlab.construct import build_group
 from oortlab.errors import CapExceeded, NonMember, NonSubgroup
 from oortlab.gf import factorize
@@ -598,6 +600,56 @@ def test_subgroups_of_p_group_keep_generators(spec, p):
     P = sylow(build_group(spec), p)
     for Q in subgroups_of_p_group(P, p):
         assert Group(P.degree, Q.generators).element_set() == Q.element_set()
+
+
+# -- orders that decide before a scan ----------------------------------
+
+
+def test_sylow_subgroups_list_what_the_layer_builder_lists():
+    """On every nontrivial Sylow subgroup in the catalogue, cyclic or not,
+    subgroups_of_p_group lists the same element sets, in the same order,
+    as the layer builder that its cyclic branch bypasses, and each
+    subgroup's generators generate it."""
+    cyclic = 0
+    for spec, primes, _ in parse_manifest(bundled_manifest_text()):
+        G = build_group(spec)
+        for p in primes:
+            P = sylow(G, p)
+            if P.is_trivial():
+                continue
+            got = subgroups_of_p_group(P, p)
+            assert [Q.element_set() for Q in got] == [Q.element_set() for Q in _subgroup_layers(P, p)], (spec, p)
+            for Q in got:
+                assert Group(P.degree, Q.generators).element_set() == Q.element_set()
+            cyclic += P.order() in P.element_orders()
+    assert cyclic > 80  # 92 in the bundled catalogue
+
+
+@pytest.mark.parametrize("spec, p", [("D:16", 2), ("Q:8", 2), ("C:9", 3), ("PROD:(C:2)x(C:2)", 2)])
+def test_a_p_group_is_its_own_sylow_and_normalizer(spec, p):
+    G = build_group(spec)
+    assert sylow(G, p) is G
+    assert normalizer(G, G) is G
+    assert normalizer(G, Group(G.degree, G.generators)) is G
+
+
+def test_normalizer_of_an_equal_order_non_subgroup_raises():
+    """The |H| = |G| shortcut still checks that H lies in G."""
+    c4 = Group(4, [perm_from_cycles(4, [(0, 1, 2, 3)])])
+    v4 = Group(4, [perm_from_cycles(4, [(0, 1), (2, 3)]), perm_from_cycles(4, [(0, 2), (1, 3)])])
+    with pytest.raises(NonSubgroup):
+        normalizer(c4, v4)
+
+
+@pytest.mark.parametrize("spec", ["S:4", "PSL2:13"])
+def test_sylow_is_grown_once_per_group_and_prime(spec):
+    """The second call returns the first call's subgroup, from G's memo;
+    a fresh G grows its own."""
+    G = build_group(spec)
+    for p in (2, 3):
+        P = sylow(G, p)
+        assert sylow(G, p) is P and G._sylows[p] is P
+        assert sylow(build_group(spec), p) is not P
 
 
 # -- normal subgroups on element ids ----------------------------------------

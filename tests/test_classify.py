@@ -1,15 +1,19 @@
 """Shape classification, both verdict routes, reports, and audits."""
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oortlab.analysis import (
+    _subgroup_layers,
     center,
     centralizer,
     conjugacy_class,
+    id_orbit,
     is_abelian,
     normalizer,
     o_p_prime,
@@ -508,6 +512,106 @@ def test_cyclic_by_p_subgroups_of_a_large_group_match_the_reference():
     _assert_matches_reference(build_group("PGL2:7"), 7, skip_trivial_q=False)
 
 
+# -- the definition route's shortcuts against the scans they replace ---------
+
+
+def _class_reps_by_orbits(G, p):
+    """_sylow_subgroup_classes as it ran before orders decided: every
+    subgroup of P from the layer builder, each looked up in G and kept
+    unless an orbit under G's conjugation tables already holds it."""
+    P = sylow(G, p)
+    if P.is_trivial():
+        return P, [P]
+    S, tables = G.store(), G.conjugation_tables()
+    seen, reps = set(), []
+    for Q in _subgroup_layers(P, p):
+        ids = np.sort(S.lookup(S.keys_of(Q)))
+        if ids.tobytes() in seen:
+            continue
+        reps.append(Q)
+        seen |= id_orbit(ids, tables)
+    return P, reps
+
+
+def _stream_by_walk(G, p, skip_trivial_q):
+    """_cyclic_by_p_stream as it ran before orders decided: over the
+    reference class reps, each N_G(Q) computed afresh, and every coset of
+    Q in it walked, however |N:Q| factors."""
+    for Q in _class_reps_by_orbits(G, p)[1]:
+        if skip_trivial_q and Q.is_trivial():
+            continue
+        N = G if Q.is_trivial() else normalizer(G, Q)
+        S, n = N.store(), N.order()
+        q = S.lookup(S.keys_of(Q))
+        t = np.arange(n)
+        head = np.minimum.reduce([S.mul(np.full(n, x), t) for x in q.tolist()])
+        heads = np.flatnonzero(head == t)
+        q_head = int(head[q[0]])
+        powers, done, cur = [heads], heads == q_head, heads
+        while not done.all():
+            cur = S.mul(cur, heads)
+            powers.append(head[cur])
+            done |= powers[-1] == q_head
+        emitted = set()
+        for row in np.array(powers).T.tolist():
+            m = row.index(q_head) + 1
+            key = frozenset(row[:m])
+            if m % p == 0 or key in emitted:
+                continue
+            emitted.add(key)
+            cosets = np.zeros(n, dtype=bool)
+            cosets[row[:m]] = True
+            yield N.subgroup_of_ids(np.flatnonzero(cosets[head]))
+
+
+def _catalogue_pairs(max_order):
+    for spec, primes, _ in parse_manifest(bundled_manifest_text()):
+        if build_group(spec).order() <= max_order:
+            yield from ((spec, p) for p in primes)
+
+
+def _keys(G, H) -> bytes:
+    return np.sort(G.store().keys_of(H)).tobytes()
+
+
+def test_class_reps_match_the_orbit_scan_on_the_catalogue():
+    """Subgroups alone in their order taken as their own class reps, on
+    every catalogue pair of order <= 3000: the same reps, in order."""
+    for spec, p in _catalogue_pairs(3000):
+        G = build_group(spec)
+        got = [_keys(G, Q) for Q in _sylow_subgroup_classes(G, p)[1]]
+        assert got == [_keys(G, Q) for Q in _class_reps_by_orbits(G, p)[1]], (spec, p)
+
+
+def test_stream_matches_the_full_coset_walk_on_the_catalogue():
+    """Q alone when |N_G(Q):Q| is a power of p, and N_G(Q) from G's memo,
+    on every catalogue pair of order <= 3000: the same candidates, in
+    order."""
+    for spec, p in _catalogue_pairs(3000):
+        G = build_group(spec)
+        got = [_keys(G, H) for H in _cyclic_by_p_stream(G, p, skip_trivial_q=True)]
+        assert got == [_keys(G, H) for H in _stream_by_walk(G, p, skip_trivial_q=True)], (spec, p)
+
+
+@pytest.mark.parametrize("spec, p", [("D:16", 2), ("S:4", 3), ("A:5", 2), ("PSL2:13", 7), ("PGL2:9", 3)])
+def test_memos_die_with_the_group(spec, p):
+    """G's Sylow and local-subgroup memos hold no reference to G, so G is
+    freed when the last outside reference goes, with no garbage
+    collection."""
+    G = build_group(spec)
+    is_o_group_by_definition(G, p)
+    is_o_group_by_criterion(G, p)
+    assert G._sylows or G.order() == p_part(G.order(), {p})
+    assert G._locals
+    ref = weakref.ref(G)
+    gc.disable()
+    try:
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("spec", ["D:12", "Q:16", "A:4", "S:5", "PGL2:9", "INV:15:8:klein", "PROD:(C:2)x(C:2)"])
 def test_shape_of_matches_a_brute_force_label(spec):
     G = build_group(spec)
@@ -596,7 +700,7 @@ def _check_basic1_by_orbits(ctx) -> bool:
     if not is_abelian(CP) or not _inverting_outside(NP, CP):
         return False
     for Q in ctx.chain:
-        NQ, CQ = ctx.local(normalizer, Q), ctx.local(centralizer, Q)
+        NQ, CQ = ctx.local("normalizer", Q), ctx.local("centralizer", Q)
         if CQ.element_set() != CP.element_set() or NQ.element_set() != NP.element_set():
             return False
     S = G.store()
@@ -694,8 +798,8 @@ def test_membership_in_some_sylow_normalizer():
 def _a4_embeds_by_perms(ctx) -> bool:
     """_a4_embeds as it scanned the normalizer's `Perm` list."""
     for K in ctx.kleins:
-        cset = ctx.local(centralizer, K).element_set()
-        for y in ctx.local(normalizer, K).element_list():
+        cset = ctx.local("centralizer", K).element_set()
+        for y in ctx.local("normalizer", K).element_list():
             if y.order() == 3 and y not in cset:
                 return True
     return False

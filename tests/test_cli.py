@@ -1,11 +1,17 @@
 """CLI behavior: exit codes, JSON shapes, manifest handling."""
 
+import contextlib
+import io
 import json
+import re
 
+import numpy as np
 import pytest
 
+import oortlab.analysis as analysis
 import oortlab.classify as classify
 import oortlab.cli as cli
+import oortlab.perm as perm
 from oortlab.classify import OortVerdict
 from oortlab.cli import (
     EXIT_CAP,
@@ -197,7 +203,7 @@ def test_audit_violation_exit(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "spec,p,sylows",
     [
-        ("S:4", 3, 2),  # odd, basic1 applies: its stream takes its own Sylow
+        ("S:4", 3, 2),  # odd, basic1 applies: its stream asks G's memo again
         ("A:5", 2, 1),  # even
         ("D:18", 2, 1),  # cyclic Sylow
     ],
@@ -223,20 +229,20 @@ def test_audit_computes_core_and_sylow_once(capsys, monkeypatch, spec, p, sylows
 
 
 @pytest.mark.parametrize(
-    "argv,normalizers_once",
+    "argv",
     [
-        (["audit", "S:4", "--p", "3"], False),
-        (["audit", "D:18", "--p", "3"], False),
-        (["audit", "A:5", "--p", "2"], True),
-        (["audit", "INV:3:8:cyclic", "--p", "2"], True),
-        (["check", "S:4", "--p", "3", "--route", "crit"], True),
+        ["audit", "S:4", "--p", "3"],
+        ["audit", "D:18", "--p", "3"],
+        ["audit", "A:5", "--p", "2"],
+        ["audit", "INV:3:8:cyclic", "--p", "2"],
+        ["check", "S:4", "--p", "3", "--route", "crit"],
     ],
     ids=["audit-S4-3", "audit-D18-3", "audit-A5-2", "audit-INV3_8cyclic-2", "crit-S4-3"],
 )
-def test_one_normalizer_and_centralizer_per_subgroup(capsys, monkeypatch, argv, normalizers_once):
+def test_one_normalizer_and_centralizer_per_subgroup(capsys, monkeypatch, argv):
     """The criterion, the report and the claim audit of one request share
-    each N_G(H) and C_G(H).  On odd audits basic1's cyclic-by-p stream, a
-    definition-route routine, keeps its own normalizer calls."""
+    each N_G(H) and C_G(H), and so does basic1's cyclic-by-p stream on odd
+    audits: all of them read G's memo."""
     keys = {"normalizer": [], "centralizer": []}
 
     def counting(name, fn):
@@ -252,8 +258,79 @@ def test_one_normalizer_and_centralizer_per_subgroup(capsys, monkeypatch, argv, 
     assert code == EXIT_OK
     assert keys["centralizer"]
     assert len(set(keys["centralizer"])) == len(keys["centralizer"])
-    if normalizers_once:
-        assert len(set(keys["normalizer"])) == len(keys["normalizer"])
+    assert len(set(keys["normalizer"])) == len(keys["normalizer"])
+
+
+@pytest.mark.parametrize(
+    "spec,p,growths",
+    [("S:4", 3, 1), ("D:18", 3, 1), ("A:5", 2, 1), ("PSL2:13", 7, 1), ("PGL2:9", 3, 1), ("D:16", 2, 0)],
+)
+def test_both_routes_share_the_sylow_and_each_normalizer(capsys, monkeypatch, spec, p, growths):
+    """Under check --route both the definition route and the criterion
+    read G's memos: the Sylow subgroup is grown once per (G, p), not at
+    all when G is a p-group, and each normalizer is computed once per
+    subgroup."""
+    grown, normalized = [], []
+
+    def growing(fn):
+        def wrapper(G, q, target):
+            grown.append((id(G), q))
+            return fn(G, q, target)
+
+        return wrapper
+
+    def normalizing(G, H):
+        normalized.append((id(G), np.sort(G.store().keys_of(H)).tobytes()))
+        return analysis.normalizer(G, H)
+
+    for name in ("_sylow_by_ids", "_sylow_by_perms"):
+        monkeypatch.setattr(analysis, name, growing(getattr(analysis, name)))
+    monkeypatch.setattr(classify, "normalizer", normalizing)
+    code, _, _ = run(capsys, "check", spec, "--p", str(p))
+    assert code in (EXIT_OK, EXIT_NEGATIVE)
+    assert len(grown) == growths
+    assert normalized and len(set(normalized)) == len(normalized)
+
+
+def _outputs(argvs) -> list:
+    """Each request's exit code and stdout, with timing_ms dropped."""
+    out = []
+    for argv in argvs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        out.append((code, re.sub(r'"timing_ms": [-0-9.e]+', "", buf.getvalue())))
+    return out
+
+
+@pytest.fixture(scope="module")
+def forced_path_requests():
+    """Every other check and audit on the catalogue's groups of order at
+    most 3000 (226 requests), with their default outputs."""
+    argvs = []
+    for spec, primes, expects in parse_manifest(bundled_manifest_text()):
+        if build_group(spec).order() <= 3000:
+            for p, expect in zip(primes, expects):
+                argvs.append(["check", spec, "--p", str(p)])
+                if expect:
+                    argvs.append(["audit", spec, "--p", str(p)])
+    argvs = argvs[::2]
+    return argvs, _outputs(argvs)
+
+
+@pytest.mark.parametrize("keyed_min_order, unused", [(1, "_sylow_by_perms"), (10**6, "_sylow_by_ids")])
+def test_forcing_the_size_rule_changes_no_output(monkeypatch, forced_path_requests, keyed_min_order, unused):
+    """perm.KEYED_MIN_ORDER forced to 1 (store paths at every order) and to
+    10**6 (Perm-list paths) leaves every output as it is; analysis reads
+    the rule through perm, so the one patch also forces its Sylow path."""
+
+    def unexpected(*args):
+        raise AssertionError(f"{unused} ran with KEYED_MIN_ORDER = {keyed_min_order}")
+
+    argvs, default = forced_path_requests
+    monkeypatch.setattr(perm, "KEYED_MIN_ORDER", keyed_min_order)
+    monkeypatch.setattr(analysis, unused, unexpected)
+    assert _outputs(argvs) == default
 
 
 @pytest.mark.parametrize(
