@@ -194,7 +194,10 @@ def _cyclic_by_p_stream(G: Group, p: int, skip_trivial_q: bool) -> Iterator[Grou
     itself has order a power of p > 1 in N/Q, so Q is the only candidate
     and the walk is skipped.  With skip_trivial_q the Q = 1 family (all
     p'-cyclic subgroups, always of allowed shape) is omitted.  N comes from
-    G's memo (:func:`_local`), which the criterion reads as well.
+    G's memo (:func:`_local`), which the criterion reads as well.  A head
+    whose coset has not recurred after |N:Q| powers raises AssertionError
+    (a class rep that is not a subgroup, or a wrong labelling) instead of
+    spinning.
     """
     P, reps = _sylow_subgroup_classes(G, p)
     for Q in reps:
@@ -204,7 +207,8 @@ def _cyclic_by_p_stream(G: Group, p: int, skip_trivial_q: bool) -> Iterator[Grou
         S = N.store()
         n = N.order()
         q = S.lookup(S.keys_of(Q))
-        if p_part(n // Q.order(), {p}) == n // Q.order():
+        index = n // Q.order()
+        if p_part(index, {p}) == index:
             yield N.subgroup_of_ids(q)
             continue
         t = np.arange(n)
@@ -219,6 +223,8 @@ def _cyclic_by_p_stream(G: Group, p: int, skip_trivial_q: bool) -> Iterator[Grou
         done = heads == q_head
         cur = heads
         while not done.all():
+            if len(powers) == index:  # no coset of a subgroup has a larger order in N/Q
+                raise AssertionError(f"a coset of Q has order above |N:Q| = {index}")
             cur = S.mul(cur, heads)
             powers.append(head[cur])
             done |= powers[-1] == q_head

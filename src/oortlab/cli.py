@@ -317,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--jobs", type=int, default=1)
     p_val.add_argument("--out", default=None, help="write per-entry JSON lines here")
     p_val.set_defaults(func=cmd_validate)
+    ap.commands = sub.choices  # name -> subcommand parser, which main parses with
     return ap
 
 
@@ -327,7 +328,14 @@ def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:  # built once per process: parsing leaves it unchanged
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is None:  # -h, no command or an unknown one
+        args = _parser.parse_args(argv)
+    else:  # what the top-level parser would do, one level down
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            _parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -1,8 +1,10 @@
 """Concrete permutation constructions for every named group family.
 
-Each constructor checks its output against the closed-form order and
-raises ConstructionError on mismatch, so generator choices are enforced
-by the chain rather than trusted.
+Each constructor checks its output against the closed-form order
+(:meth:`Group.has_order`) and raises ConstructionError on mismatch, so
+generator choices are checked rather than trusted: a group of order below
+KEYED_MIN_ORDER by listing it with :func:`mulclose`, which stops past the
+expected order, and a larger one by its stabilizer chain.
 
 Spec grammar (parse with :func:`build_group`):
   C:m  D:2n  Q:2^k  SD:2^k  A:n  S:n  PSL2:q  PGL2:q  PSL3_4
@@ -19,8 +21,8 @@ from .perm import Group, Perm, make_perm, perm_from_cycles
 
 
 def _checked(G: Group, expected_order: int, what: str) -> Group:
-    if G.order() != expected_order:
-        raise ConstructionError(f"{what}: chain order {G.order()} != expected {expected_order}")
+    if not G.has_order(expected_order):
+        raise ConstructionError(f"{what}: chain order {G.chain.order()} != expected {expected_order}")
     return G
 
 

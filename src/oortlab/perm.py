@@ -4,11 +4,15 @@ Points are 0-based.  The composition convention is (a * b)(x) = a(b(x)):
 ``a * b`` applies ``b`` first.
 
 :class:`Group` owns its element store: the deterministic stabilizer chain
-(base points chosen as the lowest moved point) for order and membership,
-the integer :class:`ElementStore`, and a small generating set for
-conjugation sweeps.  Each is filled on first use.  A group built from its
-element set computes its generators and chain only when they are read,
-and its chain is the one its generator sift built.
+(base points chosen as the lowest moved point), the integer
+:class:`ElementStore`, and a small generating set for conjugation sweeps.
+Each is filled on first use.  The chain gives order and membership
+unless a listing has them already: a listed group answers membership
+from its element set, and :meth:`Group.has_order`, the constructors'
+order check, lists a group of order below KEYED_MIN_ORDER with
+:func:`mulclose` and builds no chain.  A group built from its element
+set computes its generators and chain only when they are read, and its
+chain is the one its generator sift built.
 
 The store holds one numpy image row per element (its id is the row) and
 an int64 key per element, sum g[b_i] * degree**i over the points b_i of a
@@ -44,22 +48,23 @@ is listed first and stored from its list.
 subgroups held as id arrays under the conjugation tables are
 ``analysis.id_orbit``).
 
-Every product of two ``Perm`` tuples goes through ``Perm.__mul__``, one
-``itemgetter`` call.  The identity of each degree is one shared object, so
-``is_identity`` is a single tuple comparison.  :class:`StabilizerChain` is
-incremental: each level stores the inverse of every transversal
-representative beside it, adding a generator only extends the
-transversal, and only the Schreier generators of the new (point,
-generator) pairs are sifted.  It has two kernels, chosen by degree at
-ROWS_MIN_DEGREE (where a measured crossover put it): below, one pair at a
-time on ``Perm`` tuples; from there up, the same steps in batches on
-int32 image rows, which form a generation's representatives and a call's
-Schreier generators with one gather each.  The two build the same chain
-from the same generators (same base points, same representatives in the
-same order), so no store, key or output depends on the choice.  A store
-enumerated from a chain also takes from its inverse representatives the
-inverse images of the base points (:meth:`ElementStore.inverse_base`),
-which the normalizer filter reads.
+A product of two ``Perm`` tuples is ``Perm.__mul__``, one ``itemgetter``
+call; :func:`mulclose` on at most 256 points multiplies ``bytes`` with
+``bytes.translate`` instead and builds each ``Perm`` once.  The identity
+of each degree is one shared object, so ``is_identity`` is a single tuple
+comparison.  :class:`StabilizerChain` is incremental: each level stores
+the inverse of every transversal representative beside it, adding a
+generator only extends the transversal, and only the Schreier generators
+of the new (point, generator) pairs are sifted.  It has two kernels,
+chosen by degree at ROWS_MIN_DEGREE (where a measured crossover put it):
+below, one pair at a time on ``Perm`` tuples; from there up, the same
+steps in batches on int32 image rows, which form a generation's
+representatives and a call's Schreier generators with one gather each.
+The two build the same chain from the same generators (same base points,
+same representatives in the same order), so no store, key or output
+depends on the choice.  A store enumerated from a chain also takes from
+its inverse representatives the inverse images of the base points
+(:meth:`ElementStore.inverse_base`), which the normalizer filter reads.
 """
 
 from __future__ import annotations
@@ -186,21 +191,36 @@ def perm_from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
 def mulclose(gens: Iterable[Perm], cap: Optional[int] = None) -> Optional[dict[Perm, None]]:
     """Closure of gens under composition (a subgroup, since everything is
     finite), in breadth-first order from the identity.  The result is an
-    insertion-ordered dict used as an ordered set.  Returns None if the
-    closure grows past ``cap``; without a cap, raises CapExceeded once it
-    grows past ENUM_CAP."""
+    insertion-ordered dict used as an ordered set, whose first key is the
+    shared ``identity``.  Returns None if the closure grows past ``cap``;
+    without a cap, raises CapExceeded once it grows past ENUM_CAP.  Raises
+    DegreeMismatch on generators of different degrees.
+
+    On at most 256 points the walk holds elements as ``bytes``, which hash
+    as they are: ``b.translate(bytes(a) + bytes(range(d, 256)))`` is
+    a * b.  They become ``Perm`` tuples once, at the end.  On more points
+    it multiplies ``Perm`` tuples."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     limit = enum_cap() if cap is None else cap
-    one = identity(len(gens[0]))
-    els = {one: None}
-    frontier = [one]
+    d = len(gens[0])
+    for a in gens:
+        if len(a) != d:
+            raise DegreeMismatch(f"degree {len(a)} vs {d}")
+    one = identity(d)
+    if d <= 256:
+        tail = bytes(range(d, 256))
+        acts, start, product = [bytes(a) + tail for a in gens], bytes(one), bytes.translate
+    else:
+        acts, start, product = gens, one, lambda b, a: a * b
+    els = {start: None}
+    frontier = [start]
     while frontier:
         new = []
         for b in frontier:
-            for a in gens:
-                c = a * b
+            for a in acts:
+                c = product(b, a)
                 if c not in els:
                     els[c] = None
                     new.append(c)
@@ -209,7 +229,9 @@ def mulclose(gens: Iterable[Perm], cap: Optional[int] = None) -> Optional[dict[P
                             raise CapExceeded(f"closure exceeds ENUM_CAP {limit}")
                         return None
         frontier = new
-    return els
+    if d > 256:
+        return els
+    return dict.fromkeys(itertools.chain((one,), map(Perm, itertools.islice(els, 1, None))))
 
 
 class _Level:
@@ -716,7 +738,9 @@ class Group:
     its element set.
 
     Immutable once built.  Every cache is declared in ``__init__`` and
-    filled on first use: the chain, the order, the element list and set,
+    filled on first use: the chain, the order, the element list and set
+    (all three from one :func:`mulclose` listing when :meth:`has_order`
+    lists a small group by generators, which then builds no chain),
     the store, the small generators, the conjugation tables and the class
     labels, which depend only on the generator list or the element set, so
     concurrent readers agree; and two memos that die with the group,
@@ -782,6 +806,22 @@ class Group:
                 self._order = self.chain.order()
         return self._order
 
+    def has_order(self, n: int) -> bool:
+        """Whether the group has order n.  A group whose order is not known
+        yet (one given by generators) is listed by :func:`mulclose` with cap
+        n when n is below KEYED_MIN_ORDER and within ENUM_CAP: that costs
+        less than a chain there, stops at n + 1 elements, and a complete
+        listing keeps the element list, the set and the order.  Otherwise
+        the chain decides."""
+        if self._order is None and n < min(KEYED_MIN_ORDER, enum_cap() + 1):
+            els = mulclose(self._generators, cap=n)
+            if els is None:
+                return False
+            self._element_list = list(els)
+            self._element_set = frozenset(els)
+            self._order = len(els)
+        return self.order() == n
+
     def is_trivial(self) -> bool:
         return self.order() == 1
 
@@ -825,8 +865,9 @@ class Group:
 
     def store(self) -> "ElementStore":
         """The integer form of the element list (see :class:`ElementStore`),
-        keyed at the base of this group's chain, or for a group built from
-        its element set and not yet sifted, at a base read off its elements;
+        keyed at the base of this group's chain, or for a group listed
+        without one (built from its element set and not yet sifted, or
+        listed by :meth:`has_order`), at a base read off its elements;
         a subgroup cut from ids is keyed at the base of the group it was cut
         from.  A group of order at least KEYED_MIN_ORDER with no element
         list is enumerated here (:func:`_enumerate`), listing no

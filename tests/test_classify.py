@@ -2,12 +2,14 @@
 
 import gc
 import random
+import signal
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oortlab.classify as classify
 from oortlab.analysis import (
     _subgroup_layers,
     center,
@@ -591,6 +593,30 @@ def test_stream_matches_the_full_coset_walk_on_the_catalogue():
         G = build_group(spec)
         got = [_keys(G, H) for H in _cyclic_by_p_stream(G, p, skip_trivial_q=True)]
         assert got == [_keys(G, H) for H in _stream_by_walk(G, p, skip_trivial_q=True)], (spec, p)
+
+
+def test_stream_raises_on_a_class_rep_that_is_not_a_subgroup(monkeypatch):
+    """Q = {a, 1} with a of order 3, listed from a: the coset of Q's
+    first element never recurs among the identity's powers, so an
+    unbounded power loop would spin; after |N:Q| = 12 powers it raises."""
+    G = build_group("S:4")
+    a = perm_from_cycles(4, [(0, 1, 2)])
+    Q = Group.from_element_set(4, [a, G.identity()])
+    Q._element_list = [a, G.identity()]
+    monkeypatch.setattr(classify, "_sylow_subgroup_classes", lambda G, p: (None, [Q]))
+    monkeypatch.setattr(classify, "_local", lambda G, name, H: G)
+
+    def spun(*args):
+        raise RuntimeError("the power loop spun for 5 s")
+
+    signal.signal(signal.SIGALRM, spun)  # fail rather than hang the run
+    signal.alarm(5)
+    try:
+        with pytest.raises(AssertionError, match=r"\|N:Q\| = 12"):
+            list(_cyclic_by_p_stream(G, 3, skip_trivial_q=True))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
 
 @pytest.mark.parametrize("spec, p", [("D:16", 2), ("S:4", 3), ("A:5", 2), ("PSL2:13", 7), ("PGL2:9", 3)])

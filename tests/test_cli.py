@@ -90,6 +90,39 @@ def test_reused_parser_leaks_no_state(capsys):
     assert doc["route"] == "both" and doc["is_o_group"] is True
 
 
+def _parsed(parse, argv):
+    """(exit code, stdout, stderr) of parsing argv: the SystemExit code,
+    or None when parsing succeeded."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        [],
+        ["chek"],
+        ["check", "-h"],
+        ["check", "S:4"],
+        ["check", "S:4", "--p", "3", "--bogus"],
+        ["validate", "-", "--jobs", "x"],
+    ],
+)
+def test_main_parses_as_the_whole_parser_does(argv):
+    """main hands a named subcommand to its own parser: help, usage,
+    errors and exit codes are those of the top-level parser."""
+    whole = _parsed(cli.build_parser().parse_args, argv)
+    assert whole[0] is not None
+    assert _parsed(main, argv) == whole
+
+
 # -- check --------------------------------------------------------------
 
 
@@ -154,6 +187,33 @@ def test_check_enum_cap_not_an_integer(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "S:4", "--p", "2")
     assert code == EXIT_PARSE
     assert "OORTLAB_ENUM_CAP" in err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("construct", "S:4"), "error: normal closure exceeds ENUM_CAP 10\n"),
+        (("audit", "S:4", "--p", "3"), "error: group order 24 exceeds ENUM_CAP 10\n"),
+        (("check", "S:4", "--p", "3", "--route", "crit"), "error: group order 24 exceeds ENUM_CAP 10\n"),
+    ],
+)
+def test_a_build_past_the_cap_checks_its_order_by_the_chain(capsys, monkeypatch, argv, err):
+    """Under a cap below |G| the build's order check leaves the listing to
+    the chain, and the request fails where it first enumerates G."""
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", "10")
+    assert run(capsys, *argv)[::2] == (EXIT_CAP, err)
+
+
+def test_a_build_at_the_cap_is_listed(capsys, monkeypatch):
+    """A group whose order equals the cap is listed and answers as it does
+    without a cap."""
+    code, out, _ = run(capsys, "check", "D:10", "--p", "5")
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", "10")
+    G = build_group("D:10")
+    assert G._element_list is not None and G._chain is None
+    capped = run(capsys, "check", "D:10", "--p", "5")
+    timing = re.compile(r'"timing_ms": [-0-9.e]+')
+    assert (capped[0], timing.sub("", capped[1]), capped[2]) == (code, timing.sub("", out), "")
 
 
 # -- audit --------------------------------------------------------------
@@ -331,6 +391,24 @@ def test_forcing_the_size_rule_changes_no_output(monkeypatch, forced_path_reques
     monkeypatch.setattr(perm, "KEYED_MIN_ORDER", keyed_min_order)
     monkeypatch.setattr(analysis, unused, unexpected)
     assert _outputs(argvs) == default
+
+
+@pytest.mark.parametrize("rows_min_degree, unused", [(1, perm._PermChain), (10**6, perm._RowChain)])
+def test_forcing_the_kernel_rule_changes_no_output(monkeypatch, forced_path_requests, rows_min_degree, unused):
+    """perm.ROWS_MIN_DEGREE forced to 1 (every chain on image rows) and to
+    10**6 (every chain on Perm tuples) leaves every output as it is."""
+    built = []
+    init = unused.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    argvs, default = forced_path_requests
+    monkeypatch.setattr(perm, "ROWS_MIN_DEGREE", rows_min_degree)
+    monkeypatch.setattr(unused, "__init__", counting)
+    assert _outputs(argvs) == default
+    assert not built
 
 
 @pytest.mark.parametrize(

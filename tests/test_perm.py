@@ -231,26 +231,80 @@ def test_degrees_one_and_two():
     assert list(mulclose([e2])) == [e2]
 
 
+def _reference_mulclose(gens, cap):
+    """mulclose as it ran before its bytes kernel: the same breadth-first
+    walk, every product a ``Perm.__mul__`` call."""
+    one = identity(len(gens[0]))
+    els, frontier = {one: None}, [one]
+    while frontier:
+        new = []
+        for b in frontier:
+            for a in gens:
+                c = a * b
+                if c not in els:
+                    els[c] = None
+                    new.append(c)
+                    if len(els) > cap:
+                        return None
+        frontier = new
+    return els
+
+
+def _assert_mulclose_matches_reference(gens, caps):
+    """Same keys in the same order, all ``Perm`` tuples led by the shared
+    identity, and None at the same caps."""
+    for cap in caps:
+        want, got = _reference_mulclose(gens, cap), mulclose(gens, cap=cap)
+        if want is None:
+            assert got is None, cap
+            continue
+        assert list(got) == list(want)
+        assert all(type(g) is Perm for g in got)
+        assert next(iter(got)) is identity(len(gens[0]))
+
+
+def _dihedral_gens(n):
+    return [Perm(tuple(range(1, n)) + (0,)), Perm(tuple((n - i) % n for i in range(n)))]
+
+
 @pytest.mark.parametrize(
     "gens",
     [
         [perm_from_cycles(4, [(0, 1, 2, 3)]), perm_from_cycles(4, [(0, 1)])],
         [perm_from_cycles(12, [tuple(range(12))])],
+        _dihedral_gens(256),  # the bytes kernel's largest degree
+        _dihedral_gens(257),  # the first on Perm tuples
     ],
-    ids=["S4", "C12"],
+    ids=["S4", "C12", "degree-256", "degree-257"],
 )
-def test_mulclose_products_go_through_mul(monkeypatch, gens):
-    """Every product of the closure is a ``Perm.__mul__`` call, which is
-    where the benchmark's tracer counts products."""
-    mul, calls = Perm.__mul__, [0]
+def test_mulclose_matches_the_reference_walk(gens, monkeypatch):
+    n = len(_reference_mulclose(gens, math.inf))
+    _assert_mulclose_matches_reference(gens, [math.inf, n, n - 1, 1, n // 2])
+    assert list(mulclose(gens)) == list(_reference_mulclose(gens, math.inf))
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", str(n))
+    assert len(mulclose(gens)) == n
+    monkeypatch.setenv("OORTLAB_ENUM_CAP", str(n - 1))
+    with pytest.raises(CapExceeded):
+        mulclose(gens)
 
-    def counting(a, b):
-        calls[0] += 1
-        return mul(a, b)
 
-    monkeypatch.setattr(Perm, "__mul__", counting)
-    els = mulclose(gens)
-    assert calls[0] == len(els) * len(gens)
+@st.composite
+def small_generating_sets(draw):
+    n = draw(st.integers(1, 9))
+    return [Perm(draw(st.permutations(range(n)))) for _ in range(draw(st.integers(1, 3)))]
+
+
+@given(small_generating_sets(), st.integers(1, 3000))
+@settings(max_examples=60, deadline=None)
+def test_mulclose_matches_the_reference_walk_on_random_generators(gens, cap):
+    _assert_mulclose_matches_reference(gens, [cap, 3000])
+
+
+def test_mulclose_rejects_mixed_degrees():
+    with pytest.raises(DegreeMismatch):
+        mulclose([identity(4), perm_from_cycles(5, [(0, 1)])])
+    with pytest.raises(DegreeMismatch):
+        mulclose([perm_from_cycles(4, [(0, 1)]), perm_from_cycles(5, [(0, 1)])], cap=1)
 
 
 def test_group_membership_and_enumeration():
@@ -290,7 +344,77 @@ def test_enum_cap_before_the_store(monkeypatch):
     assert G._store is None and G._element_list is None
 
 
-STORE_SPECS = ["C:2", "S:4", "A:7", "PGL2:9", "DELPERM:5:S4", "INV:15:16:klein", "PSL3_4"]
+def _s4():
+    return Group(4, [perm_from_cycles(4, [(0, 1, 2, 3)]), perm_from_cycles(4, [(0, 1)])])
+
+
+@pytest.fixture
+def no_chain(monkeypatch):
+    """Fails the test if a stabilizer chain is built; records each
+    mulclose call's cap and whether it finished."""
+    calls = []
+    closure = perm.mulclose
+
+    def recording(gens, cap=None):
+        els = closure(gens, cap)
+        calls.append((cap, els is not None))
+        return els
+
+    monkeypatch.setattr(perm, "mulclose", recording)
+    monkeypatch.setattr(perm, "StabilizerChain", lambda *a: pytest.fail("chain built"))
+    return calls
+
+
+def test_has_order_lists_a_small_group_without_a_chain(no_chain):
+    G = _s4()
+    assert G.has_order(24)
+    assert no_chain == [(24, True)]
+    assert G.order() == 24 and G._chain is None
+    assert G.element_list() == list(mulclose(G.generators))
+    assert G.element_set() == frozenset(G.element_list())
+    assert G.contains(perm_from_cycles(4, [(1, 3)]))
+
+
+def test_has_order_stops_past_n_on_too_large_a_set(no_chain, monkeypatch):
+    """mulclose with cap n returns None once it holds n + 1 elements; the
+    order stays unknown, and only then does a chain read it."""
+    G = _s4()
+    assert not G.has_order(12)
+    assert no_chain == [(12, False)]
+    assert G._order is None and G._element_list is None and G._chain is None
+    monkeypatch.undo()
+    assert G.order() == 24
+
+
+def test_has_order_keeps_the_listing_of_too_small_a_set(no_chain):
+    G = Group(4, [perm_from_cycles(4, [(0, 1, 2, 3)])])
+    assert not G.has_order(8)
+    assert no_chain == [(8, True)]
+    assert G.order() == 4 and G._chain is None and len(G.element_list()) == 4
+
+
+@pytest.mark.parametrize("cap, listed", [(None, False), ("23", False), ("24", True)])
+def test_has_order_leaves_large_orders_and_the_cap_to_the_chain(monkeypatch, cap, listed):
+    """n at or past KEYED_MIN_ORDER, or past ENUM_CAP, is decided by the
+    chain, and KEYED_MIN_ORDER is read from perm at call time."""
+    if cap is None:
+        monkeypatch.setattr(perm, "KEYED_MIN_ORDER", 24)
+    else:
+        monkeypatch.setenv("OORTLAB_ENUM_CAP", cap)
+    G = _s4()
+    assert G.has_order(24)
+    assert (G._chain is None) == listed and (G._element_list is not None) == listed
+
+
+def test_has_order_reads_a_known_order(no_chain):
+    assert Group(4, []).has_order(1) and not Group(4, []).has_order(2)
+    H = Group.from_element_set(4, mulclose(_s4().generators))
+    no_chain.clear()
+    assert H.has_order(24) and not H.has_order(12)
+    assert no_chain == []
+
+
+STORE_SPECS =["C:2", "S:4", "A:7", "PGL2:9", "DELPERM:5:S4", "INV:15:16:klein", "PSL3_4"]
 
 
 @pytest.mark.parametrize("spec", STORE_SPECS)
