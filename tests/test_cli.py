@@ -114,6 +114,7 @@ def _parsed(parse, argv):
         ["check", "S:4", "--p", "3", "--bogus"],
         ["validate", "-", "--jobs", "x"],
     ],
+    ids=["help", "empty", "unknown-command", "check-help", "no-p", "unknown-option", "bad-jobs"],
 )
 def test_main_parses_as_the_whole_parser_does(argv):
     """main hands a named subcommand to its own parser: help, usage,
@@ -196,6 +197,7 @@ def test_check_enum_cap_not_an_integer(capsys, monkeypatch):
         (("audit", "S:4", "--p", "3"), "error: group order 24 exceeds ENUM_CAP 10\n"),
         (("check", "S:4", "--p", "3", "--route", "crit"), "error: group order 24 exceeds ENUM_CAP 10\n"),
     ],
+    ids=["construct", "audit", "check-crit"],
 )
 def test_a_build_past_the_cap_checks_its_order_by_the_chain(capsys, monkeypatch, argv, err):
     """Under a cap below |G| the build's order check leaves the listing to

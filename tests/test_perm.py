@@ -414,7 +414,7 @@ def test_has_order_reads_a_known_order(no_chain):
     assert no_chain == []
 
 
-STORE_SPECS =["C:2", "S:4", "A:7", "PGL2:9", "DELPERM:5:S4", "INV:15:16:klein", "PSL3_4"]
+STORE_SPECS = ["C:2", "S:4", "A:7", "PGL2:9", "DELPERM:5:S4", "INV:15:16:klein", "PSL3_4"]
 
 
 @pytest.mark.parametrize("spec", STORE_SPECS)
