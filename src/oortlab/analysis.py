@@ -27,9 +27,8 @@ of a cyclic P from its element orders, one per order, and builds the
 subgroup lattice of any other P over P's multiplication table of ids;
 each subgroup keeps the generators it was built from.  A chief factor is
 held on G's ids as well: its basis is ids, its coordinates are keyed by
-the coset heads that ``quotient_by`` numbers its cosets by
-(``perm.coset_heads``), and conjugation on it reads the conjugates' ids
-from G's store.
+its coset heads (``perm.coset_heads``), and conjugation on it reads the
+conjugates' ids from G's store.
 """
 
 from __future__ import annotations
@@ -317,7 +316,7 @@ def _sylow_by_ids(G: Group, p: int, target: int) -> Group:
     n = p_part(int(orders[hits[0]]), {p})
     y = int(_p_parts(S, start + hits[:1], orders[hits[:1]], p)[0])
     inside = _extended(S, np.arange(G.order()) == 0, y, n)
-    P = G.subgroup_of_ids(np.flatnonzero(inside), [Perm(S.E[y].tolist())])
+    P = G.subgroup_of_ids(np.flatnonzero(inside), [S.perm(y)])
     while P.order() < target:
         N = normalizer(G, P)
         ys = S.lookup(S.keys_of(N))  # in N's sorted order
@@ -329,7 +328,7 @@ def _sylow_by_ids(G: Group, p: int, target: int) -> Group:
             raise AssertionError("sylow growth stalled below the p-part")
         y = int(parts[fresh[0]])
         inside = _extended(S, inside, y, p_part(int(orders[cand[fresh[0]]]), {p}))
-        P = G.subgroup_of_ids(np.flatnonzero(inside), [*P.generators, Perm(S.E[y].tolist())])
+        P = G.subgroup_of_ids(np.flatnonzero(inside), [*P.generators, S.perm(y)])
     return P
 
 
@@ -365,8 +364,9 @@ def subgroups_of_p_group(P: Group, p: int) -> list[Group]:
     """All subgroups of a p-group, by order and, within an order, in the
     order of their sorted element lists.  A cyclic P (one with an element
     of order |P|) has one subgroup of each order k, its elements of order
-    dividing k, generated by its first element of order k; any other P is
-    built layer by layer (:func:`_subgroup_layers`)."""
+    dividing k, generated by its first element of order k, and P itself at
+    the top; any other P is built layer by layer
+    (:func:`_subgroup_layers`)."""
     if not is_p_group(P, p):
         raise NotPGroup(f"group of order {P.order()} is not a {p}-group")
     S, n = P.store(), P.order()
@@ -374,11 +374,11 @@ def subgroups_of_p_group(P: Group, p: int) -> list[Group]:
     if not (orders == n).any():
         return _subgroup_layers(P, p)
     out, k = [], 1
-    while k <= n:  # the orders are powers of p: one divides k when it is at most k
-        gens = [Perm(S.E[np.argmax(orders == k)].tolist())] if k > 1 else []
+    while k < n:  # the orders are powers of p: one divides k when it is at most k
+        gens = [S.perm(np.argmax(orders == k))] if k > 1 else []
         out.append(P.subgroup_of_ids(np.flatnonzero(orders <= k), gens))
         k *= p
-    return out
+    return out + [P]
 
 
 def _subgroup_layers(P: Group, p: int) -> list[Group]:

@@ -10,11 +10,11 @@ independent implementations and the batch harness cross-checks them.
 
 The definition route runs on element ids of G's store: the subgroups of
 P and their G-classes are sorted id arrays conjugated through G's tables,
-the coset walk over N_G(Q) forms the products q t and the powers of t
-over the base columns for all t at once, and ``shape_of`` reads element
-orders from the store.  Permutations are built only at the edges: the
-generators the witnesses print, sifted from a candidate's own sorted
-rows when they are read.
+the coset walk over N_G(Q) labels each coset of Q by its least id
+(``perm.coset_heads``) and forms the powers of all the heads at once,
+and ``shape_of`` reads element orders from the store.  Permutations are
+built only at the edges: the generators the witnesses print, sifted from
+a candidate's own sorted rows when they are read.
 
 Both routes read one Sylow p-subgroup of G (``analysis.sylow`` keeps it
 on G) and one memo of normalizers and centralizers (:func:`_local`), kept
@@ -26,15 +26,16 @@ is a power of p, Q is the only candidate over Q.
 
 The criterion, the structure reports and the claim audit share one
 :class:`Context` per (G, p), holding P, the p'-core, the criterion
-verdict and the p-local subgroups they all read (the cyclic chain under a
-cyclic P and the Klein fours of P, each cut from P's store by id with the
-generators it is built from).  On a G of order at least KEYED_MIN_ORDER
-the criterion never lists G: sylow, the normalizers and centralizers and
-the inversion test read G's store.  Nor does the audit: the reports read
-element orders and memberships from stores and ids, G/R is the coset
-action on G's ids, and ``basic1`` compares subgroups by their keys and
-tests each stream candidate against one orbit of N_G(P)'s ids.  The
-definition route never takes a context.
+verdict and the p-local subgroups they all read (the subgroups of a
+cyclic P, as ``subgroups_of_p_group`` lists them, and the Klein fours of
+P, each cut from P's store by id with the generators it is built from).
+On a G of order at least KEYED_MIN_ORDER the criterion never lists G:
+sylow, the normalizers and centralizers and the inversion test read G's
+store.  Nor does the audit: the reports read element orders and
+memberships from stores and ids, G/R is the coset action on G's ids, and
+``basic1`` compares subgroups by their keys and tests each stream
+candidate against one orbit of N_G(P)'s ids.  The definition route never
+takes a context.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .analysis import (
 )
 from .errors import PreconditionFailed
 from .gf import MAX_Q, factorize, is_prime
-from .perm import Group, Perm, mulclose, quotient_by
+from .perm import Group, coset_heads, quotient_by
 
 
 # -- shapes -------------------------------------------------------------
@@ -180,57 +181,53 @@ def _sylow_subgroup_classes(G: Group, p: int) -> tuple[Group, list[Group]]:
     return P, reps
 
 
-def _cyclic_by_p_stream(G: Group, p: int, skip_trivial_q: bool) -> Iterator[Group]:
-    """Candidates <Q, t> for Q a p-subgroup class rep and t in N = N_G(Q).
+def _cyclic_by_p_stream(G: Group, p: int) -> Iterator[Group]:
+    """Candidates <Q, t> for Q a nontrivial p-subgroup class rep and t in
+    N = N_G(Q).  The Q = 1 family, all p'-cyclic subgroups, is always of
+    allowed shape and is not listed.
 
     Since t normalizes Q, <Q, t> is the union of the cosets Q t^k, and it
     is cyclic-by-p exactly when the order m of Qt in N/Q is prime to p (Q
     is then the normal Sylow p-subgroup and the quotient is generated by
     the image of t).  The walk runs over N's ids, in N's element order:
-    each coset Qt is labelled by its first element (its head), every head
-    t is tried in turn, and <Q, t> is emitted unless an earlier head gave
-    the same cosets.  The labels and the powers of all heads are computed
-    together for each Q.  When |N:Q| is a power of p, every coset but Q
-    itself has order a power of p > 1 in N/Q, so Q is the only candidate
-    and the walk is skipped.  With skip_trivial_q the Q = 1 family (all
-    p'-cyclic subgroups, always of allowed shape) is omitted.  N comes from
-    G's memo (:func:`_local`), which the criterion reads as well.  A head
-    whose coset has not recurred after |N:Q| powers raises AssertionError
-    (a class rep that is not a subgroup, or a wrong labelling) instead of
-    spinning.
+    each coset Qt = tQ is labelled by its least id, its head
+    (``perm.coset_heads``), every head t is tried in turn, and <Q, t> is
+    emitted unless an earlier head gave the same cosets.  The powers of
+    all heads are computed together for each Q.  When |N:Q| is a power of
+    p, every coset but Q itself has order a power of p > 1 in N/Q, so Q is
+    the only candidate and the walk is skipped.  N comes from G's memo
+    (:func:`_local`), which the criterion reads as well.  A class rep that
+    is not a subgroup raises AssertionError instead of spinning: its heads
+    number other than |N:Q|, or one of its cosets has not recurred after
+    |N:Q| powers.
     """
     P, reps = _sylow_subgroup_classes(G, p)
     for Q in reps:
-        if skip_trivial_q and Q.is_trivial():
+        if Q.is_trivial():
             continue
-        N = G if Q.is_trivial() else _local(G, "normalizer", Q)
-        S = N.store()
-        n = N.order()
-        q = S.lookup(S.keys_of(Q))
+        N = _local(G, "normalizer", Q)
+        S, n = N.store(), N.order()
         index = n // Q.order()
         if p_part(index, {p}) == index:
-            yield N.subgroup_of_ids(q)
+            yield N.subgroup_of_ids(S.lookup(S.keys_of(Q)))
             continue
-        t = np.arange(n)
-        head = t.copy()  # head[t]: the least id of the coset Qt
-        step = max(1, (1 << 18) // n)  # about 2^18 products at a time bound the memory
-        for i in range(0, len(q), step):
-            head = np.minimum(head, S.mul(q[i : i + step, None], t).min(axis=0))
-        heads = np.flatnonzero(head == t)
+        head = coset_heads(N, S.ids_of(Q.generators))  # Q's head is 0, the identity
+        heads = np.flatnonzero(head == np.arange(n))
+        if len(heads) != index:
+            raise AssertionError(f"{len(heads)} cosets of Q, not |N:Q| = {index}")
         # powers[k - 1][j] is the head of the coset of heads[j]^k, until Q recurs
-        q_head = int(head[q[0]])
         powers = [heads]
-        done = heads == q_head
+        done = heads == 0
         cur = heads
         while not done.all():
             if len(powers) == index:  # no coset of a subgroup has a larger order in N/Q
                 raise AssertionError(f"a coset of Q has order above |N:Q| = {index}")
             cur = S.mul(cur, heads)
             powers.append(head[cur])
-            done |= powers[-1] == q_head
+            done |= powers[-1] == 0
         emitted: set[frozenset[int]] = set()
         for row in np.array(powers).T.tolist():
-            m = row.index(q_head) + 1  # the order of Qt in N/Q
+            m = row.index(0) + 1  # the order of Qt in N/Q
             if m % p == 0:
                 continue
             key = frozenset(row[:m])
@@ -282,7 +279,7 @@ def is_o_group_by_definition(G: Group, p: int) -> OortVerdict:
     distinct failing (kind, order) is recorded once, with generators.
     """
     found: dict[tuple[str, int], Witness] = {}
-    for H in _cyclic_by_p_stream(G, p, skip_trivial_q=True):
+    for H in _cyclic_by_p_stream(G, p):
         sh = shape_of(H)
         if allowed_shape(sh, p):
             continue
@@ -333,20 +330,9 @@ class Context:
 
     @cached_property
     def chain(self) -> list[Group]:
-        """The nontrivial subgroups of a cyclic P, from P down to order p:
-        for a generator x of P, the one generated by x^(n/k) for each
-        order k, cut from P's store with that generator."""
-        P, n = self.P, self.P.order()
-        if n == 1:
-            return []
-        S = P.store()
-        x = Perm(S.E[np.flatnonzero(S.orders(np.arange(n)) == n)[0]].tolist())
-        out, k = [P], n // self.p
-        while k > 1:
-            y = x ** (n // k)
-            out.append(P.subgroup_of_ids(S.ids_of(list(mulclose([y]))), [y]))
-            k //= self.p
-        return out
+        """The nontrivial subgroups of a cyclic P, from P itself down to
+        order p (:func:`~oortlab.analysis.subgroups_of_p_group`)."""
+        return subgroups_of_p_group(self.P, self.p)[:0:-1]
 
     @cached_property
     def kleins(self) -> list[Group]:
@@ -364,7 +350,7 @@ class Context:
         for i, j in zip(*np.nonzero(np.triu(xy == xy.T, 1))):
             found.setdefault(frozenset(map(int, (one, invs[i], invs[j], xy[i, j]))), (invs[i], invs[j]))
         return [
-            P.subgroup_of_ids(np.array(sorted(ids)), [Perm(S.E[g].tolist()) for g in pair])
+            P.subgroup_of_ids(np.array(sorted(ids)), [S.perm(g) for g in pair])
             for ids, pair in found.items()
         ]
 
@@ -779,7 +765,7 @@ def _check_basic1(ctx: Context) -> bool:
     conjugates = np.frombuffer(b"".join(orbit), dtype=np_ids.dtype).reshape(len(orbit), len(np_ids))
     return all(
         _in_some_row(S.lookup(S.keys_of(H)), conjugates, G.order())
-        for H in _cyclic_by_p_stream(G, p, skip_trivial_q=True)
+        for H in _cyclic_by_p_stream(G, p)
     )
 
 

@@ -37,8 +37,9 @@ store is a slice of the parent's, keyed at the parent's base, sorted as
 ``sorted()`` sorts permutations (:func:`sorting_order`).  :func:`is_normal`
 reads the conjugation tables, and :func:`coset_heads` labels every id with
 the least id in its coset of a normal subgroup: :func:`quotient_by`
-numbers the cosets by these heads, and ``analysis`` keys the chief
-factors' coordinates by them.  ``Perm`` lists exist only at the edges:
+numbers the cosets by these heads, ``analysis`` keys the chief factors'
+coordinates by them, and ``classify`` walks the cosets of Q in N_G(Q) by
+them.  ``Perm`` lists exist only at the edges:
 ``Group.element_list`` and ``element_set`` build them from the store's
 rows when read (constructors, witness and sifted generators, JSON), and a
 group below KEYED_MIN_ORDER, where :func:`mulclose` costs less than numpy,
@@ -664,6 +665,10 @@ class ElementStore:
     def ids_of(self, els: Collection[Perm]) -> np.ndarray:
         """Ids of the given elements of G."""
         return self.lookup(self.key(self.base_images(els)))
+
+    def perm(self, i: int) -> Perm:
+        """The element of G with id i."""
+        return Perm(self.E[i].tolist())
 
     def keys_of(self, H: "Group") -> np.ndarray:
         """Keys of the elements of a subgroup H of G, in H's element-list

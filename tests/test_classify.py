@@ -47,7 +47,7 @@ from oortlab.cli import _audit_doc, bundled_manifest_text, parse_manifest
 from oortlab.construct import alternating, build_group, pgl2, psl2, psl3_4, symmetric
 from oortlab.errors import PreconditionFailed
 from oortlab.gf import factorize
-from oortlab.perm import KEYED_MIN_ORDER, Group, mulclose, perm_from_cycles
+from oortlab.perm import KEYED_MIN_ORDER, Group, Perm, mulclose, perm_from_cycles
 
 
 def dicyclic12():
@@ -106,14 +106,14 @@ def test_allowed_shape(shape, p, ok):
 
 def test_enumeration_shapes_d18():
     G = build_group("D:18")
-    labels = {shape_of(H).label for H in _cyclic_by_p_stream(G, 3, skip_trivial_q=False)}
-    assert labels == {"C1", "C2", "C3", "C9", "D6", "D18"}
+    labels = {shape_of(H).label for H in _cyclic_by_p_stream(G, 3)}
+    assert labels == {"C3", "C9", "D6", "D18"}
 
 
 def test_enumeration_members_are_cyclic_by_p():
     G = build_group("S:4")
     seen = 0
-    for H in _cyclic_by_p_stream(G, 3, skip_trivial_q=False):
+    for H in _cyclic_by_p_stream(G, 3):
         assert _is_cyclic_by_p_reference(H, 3)[0]
         seen += 1
     assert seen > 0
@@ -121,8 +121,8 @@ def test_enumeration_members_are_cyclic_by_p():
 
 def test_enumeration_c6():
     G = build_group("C:6")
-    orders = sorted(H.order() for H in _cyclic_by_p_stream(G, 3, skip_trivial_q=False))
-    assert orders == [1, 2, 3, 6]
+    orders = sorted(H.order() for H in _cyclic_by_p_stream(G, 3))
+    assert orders == [3, 6]
 
 
 # -- verdict routes -----------------------------------------------------
@@ -425,13 +425,13 @@ def _ref_class_reps(G, p):
     return reps
 
 
-def _ref_stream(G, p, skip_trivial_q):
+def _ref_stream(G, p):
     emitted = set()
     for qset in _ref_class_reps(G, p):
-        if skip_trivial_q and len(qset) == 1:
+        if len(qset) == 1:
             continue
         qn = len(qset)
-        N = G if qn == 1 else normalizer(G, Group.from_element_set(G.degree, qset))
+        N = normalizer(G, Group.from_element_set(G.degree, qset))
         seen_cosets = set()
         for t in N.element_list():
             if t in seen_cosets:
@@ -470,11 +470,11 @@ def _ref_shape_label(H):
     return f"Other({n})"
 
 
-def _assert_matches_reference(G, p, skip_trivial_q=True):
+def _assert_matches_reference(G, p):
     _, reps = _sylow_subgroup_classes(G, p)
     assert [Q.element_set() for Q in reps] == _ref_class_reps(G, p)
-    got = list(_cyclic_by_p_stream(G, p, skip_trivial_q))
-    assert [H.element_set() for H in got] == list(_ref_stream(G, p, skip_trivial_q))
+    got = list(_cyclic_by_p_stream(G, p))
+    assert [H.element_set() for H in got] == list(_ref_stream(G, p))
     for H in got:
         assert H.element_list() == sorted(H.element_set())
         assert shape_of(H).label == _ref_shape_label(H)
@@ -488,7 +488,7 @@ CATALOGUE_PRIMES = {
 
 
 @pytest.mark.parametrize(
-    "spec,p", [(s, p) for s, primes in CATALOGUE_PRIMES.items() for p in primes]
+    "spec,p", [(s, p) for s, primes in CATALOGUE_PRIMES.items() for p in primes] + [("PGL2:7", 7)]
 )
 def test_id_route_matches_perm_reference_on_catalogue(spec, p):
     _assert_matches_reference(build_group(spec), p)
@@ -506,12 +506,7 @@ def test_id_route_matches_perm_reference_on_random_subgroups(spec):
     for k in (1, 2, 2, 3):  # orders 4 to 3000 over the four groups
         H = Group(G.degree, G.random_elements(k, seed=rng.randrange(1 << 30)))
         for p in (2, 3, 5, 7):
-            _assert_matches_reference(H, p, skip_trivial_q=H.order() > 400)
-
-
-def test_cyclic_by_p_subgroups_of_a_large_group_match_the_reference():
-    # the Q = 1 family walks G itself, in its breadth-first element order
-    _assert_matches_reference(build_group("PGL2:7"), 7, skip_trivial_q=False)
+            _assert_matches_reference(H, p)
 
 
 # -- the definition route's shortcuts against the scans they replace ---------
@@ -535,14 +530,16 @@ def _class_reps_by_orbits(G, p):
     return P, reps
 
 
-def _stream_by_walk(G, p, skip_trivial_q):
-    """_cyclic_by_p_stream as it ran before orders decided: over the
-    reference class reps, each N_G(Q) computed afresh, and every coset of
-    Q in it walked, however |N:Q| factors."""
+def _stream_by_walk(G, p):
+    """_cyclic_by_p_stream as it ran before orders decided and before it
+    labelled cosets with perm.coset_heads: over the reference class reps,
+    each N_G(Q) computed afresh, every coset of Q in it walked, however
+    |N:Q| factors, and each coset labelled by the least id among the
+    products q t."""
     for Q in _class_reps_by_orbits(G, p)[1]:
-        if skip_trivial_q and Q.is_trivial():
+        if Q.is_trivial():
             continue
-        N = G if Q.is_trivial() else normalizer(G, Q)
+        N = normalizer(G, Q)
         S, n = N.store(), N.order()
         q = S.lookup(S.keys_of(Q))
         t = np.arange(n)
@@ -586,19 +583,20 @@ def test_class_reps_match_the_orbit_scan_on_the_catalogue():
 
 
 def test_stream_matches_the_full_coset_walk_on_the_catalogue():
-    """Q alone when |N_G(Q):Q| is a power of p, and N_G(Q) from G's memo,
-    on every catalogue pair of order <= 3000: the same candidates, in
-    order."""
-    for spec, p in _catalogue_pairs(3000):
+    """Q alone when |N_G(Q):Q| is a power of p, N_G(Q) from G's memo,
+    and the cosets labelled by coset_heads, on every catalogue pair of
+    order <= 3000 and on the two heavy DELPERM specs at p = 7, where the
+    normalizers are largest: the same candidates, in order."""
+    for spec, p in [*_catalogue_pairs(3000), ("DELPERM:7:A4", 7), ("DELPERM:7:S4", 7)]:
         G = build_group(spec)
-        got = [_keys(G, H) for H in _cyclic_by_p_stream(G, p, skip_trivial_q=True)]
-        assert got == [_keys(G, H) for H in _stream_by_walk(G, p, skip_trivial_q=True)], (spec, p)
+        got = [_keys(G, H) for H in _cyclic_by_p_stream(G, p)]
+        assert got == [_keys(G, H) for H in _stream_by_walk(G, p)], (spec, p)
 
 
 def test_stream_raises_on_a_class_rep_that_is_not_a_subgroup(monkeypatch):
-    """Q = {a, 1} with a of order 3, listed from a: the coset of Q's
-    first element never recurs among the identity's powers, so an
-    unbounded power loop would spin; after |N:Q| = 12 powers it raises."""
+    """Q = {a, 1} with a of order 3, listed from a: coset_heads labels
+    the cosets of <a>, 8 of them, not |N:Q| = 12, so the count guard
+    raises before the power loop runs."""
     G = build_group("S:4")
     a = perm_from_cycles(4, [(0, 1, 2)])
     Q = Group.from_element_set(4, [a, G.identity()])
@@ -613,7 +611,7 @@ def test_stream_raises_on_a_class_rep_that_is_not_a_subgroup(monkeypatch):
     signal.alarm(5)
     try:
         with pytest.raises(AssertionError, match=r"\|N:Q\| = 12"):
-            list(_cyclic_by_p_stream(G, 3, skip_trivial_q=True))
+            list(_cyclic_by_p_stream(G, 3))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
@@ -733,7 +731,7 @@ def _check_basic1_by_orbits(ctx) -> bool:
     in_np = np.zeros(G.order(), dtype=bool)
     in_np[S.ids_of(NP.element_set())] = True
     tables = G.conjugation_tables()
-    for H in _cyclic_by_p_stream(G, p, skip_trivial_q=True):
+    for H in _cyclic_by_p_stream(G, p):
         ids = np.sort(S.ids_of(H.element_set()))
         conjugates = np.frombuffer(b"".join(id_orbit(ids, tables)), dtype=ids.dtype)
         if not in_np[conjugates.reshape(-1, len(ids))].all(axis=1).any():
@@ -760,6 +758,38 @@ def test_basic1_matches_the_orbit_walk_on_the_catalogue():
         applied += ctx.ncq != 1
         assert _check_basic1(ctx) == _check_basic1_by_orbits(ctx), (spec, p)
     assert applied >= 30
+
+
+def _chain_by_powers(ctx):
+    """Context.chain as it listed the subgroups of a cyclic P itself: P,
+    then for a generator x of P the closure of x^(n/k), cut from P's store
+    with that generator, for each order k from n/p down to p."""
+    P, n = ctx.P, ctx.P.order()
+    S = P.store()
+    x = Perm(S.E[np.flatnonzero(S.orders(np.arange(n)) == n)[0]].tolist())
+    out, k = [P], n // ctx.p
+    while k > 1:
+        y = x ** (n // k)
+        out.append(P.subgroup_of_ids(S.ids_of(list(mulclose([y]))), [y]))
+        k //= ctx.p
+    return out
+
+
+def test_chain_matches_the_power_lister_on_the_catalogue():
+    """On every odd-p catalogue pair with a nontrivial cyclic Sylow P, the
+    chain read from subgroups_of_p_group holds the same subgroups, in the
+    same order, as the power lister it replaced, and starts at P itself."""
+    pairs = 0
+    for spec, primes, _ in parse_manifest(bundled_manifest_text()):
+        G = build_group(spec)
+        for p in primes:
+            ctx = Context(G, p)
+            if p == 2 or ctx.P.is_trivial() or ctx.shape.kind != "Cyclic":
+                continue
+            pairs += 1
+            assert ctx.chain[0] is ctx.P
+            assert [_keys(G, Q) for Q in ctx.chain] == [_keys(G, Q) for Q in _chain_by_powers(ctx)], (spec, p)
+    assert pairs == 72
 
 
 @st.composite
