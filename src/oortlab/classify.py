@@ -17,12 +17,10 @@ built only at the edges: the generators the witnesses print, sifted from
 a candidate's own sorted rows when they are read.
 
 Both routes read one Sylow p-subgroup of G (``analysis.sylow`` keeps it
-on G) and one memo of normalizers and centralizers (:func:`_local`), kept
-on G in ``G._locals`` and keyed by name and by the subgroup's keys at G's
-base, so N_G(P) and N_G(Q) are computed once for both.  The memos die
-with G.  Where orders decide, the definition route skips its scans: a
-subgroup of P alone in its order is its own class rep, and when |N_G(Q):Q|
-is a power of p, Q is the only candidate over Q.
+on G), so P is grown once for both; each route computes its own
+normalizers.  Where orders decide, the definition route skips its scans:
+a subgroup of P alone in its order is its own class rep, and when
+|N_G(Q):Q| is a power of p, Q is the only candidate over Q.
 
 The criterion, the structure reports and the claim audit share one
 :class:`Context` per (G, p), holding P, the p'-core, the criterion
@@ -136,22 +134,6 @@ def allowed_shape(shape: ShapeVerdict, p: int) -> bool:
 # -- cyclic-by-p subgroups ----------------------------------------------
 
 
-def _local(G: Group, name: str, H: Group) -> Group:
-    """N_G(H) or C_G(H), as ``name`` says ("normalizer" or "centralizer"),
-    memoized in ``G._locals`` by the name and the bytes of the sorted keys
-    of H's elements at G's base, which name them as their ids in G would.
-    The function is this module's binding of that name at call time, so a
-    rebinding (a test's counter, a tracer's wrapper) is the one that runs.
-    A result that is G itself is held as None, so G holds no reference to
-    itself."""
-    key = (name, np.sort(G.store().keys_of(H)).tobytes())
-    if key not in G._locals:
-        K = {"normalizer": normalizer, "centralizer": centralizer}[name](G, H)
-        G._locals[key] = None if K is G else K
-    K = G._locals[key]
-    return G if K is None else K
-
-
 def _sylow_subgroup_classes(G: Group, p: int) -> tuple[Group, list[Group]]:
     """One fixed Sylow p-subgroup P plus one representative per
     G-conjugacy class of subgroups of P: the first of its class in the
@@ -183,8 +165,18 @@ def _sylow_subgroup_classes(G: Group, p: int) -> tuple[Group, list[Group]]:
 
 def _cyclic_by_p_stream(G: Group, p: int) -> Iterator[Group]:
     """Candidates <Q, t> for Q a nontrivial p-subgroup class rep and t in
-    N = N_G(Q).  The Q = 1 family, all p'-cyclic subgroups, is always of
-    allowed shape and is not listed.
+    N_G(Q) (:func:`_candidates_over`).  The Q = 1 family, all p'-cyclic
+    subgroups, is always of allowed shape and is not listed."""
+    P, reps = _sylow_subgroup_classes(G, p)
+    for Q in reps:
+        if not Q.is_trivial():
+            yield from _candidates_over(G, Q, p)
+
+
+def _candidates_over(G: Group, Q: Group, p: int) -> Iterator[Group]:
+    """The cyclic-by-p subgroups <Q, t> with normal Sylow p-subgroup Q, for
+    t in N = N_G(Q), which is computed here and dropped on return, before
+    the stream computes the next class rep's.
 
     Since t normalizes Q, <Q, t> is the union of the cosets Q t^k, and it
     is cyclic-by-p exactly when the order m of Qt in N/Q is prime to p (Q
@@ -193,50 +185,44 @@ def _cyclic_by_p_stream(G: Group, p: int) -> Iterator[Group]:
     each coset Qt = tQ is labelled by its least id, its head
     (``perm.coset_heads``), every head t is tried in turn, and <Q, t> is
     emitted unless an earlier head gave the same cosets.  The powers of
-    all heads are computed together for each Q.  When |N:Q| is a power of
-    p, every coset but Q itself has order a power of p > 1 in N/Q, so Q is
-    the only candidate and the walk is skipped.  N comes from G's memo
-    (:func:`_local`), which the criterion reads as well.  A class rep that
-    is not a subgroup raises AssertionError instead of spinning: its heads
-    number other than |N:Q|, or one of its cosets has not recurred after
-    |N:Q| powers.
+    all heads are computed together.  When |N:Q| is a power of p, every
+    coset but Q itself has order a power of p > 1 in N/Q, so Q is the only
+    candidate and the walk is skipped.  A Q that is not a subgroup raises
+    AssertionError instead of spinning: its heads number other than
+    |N:Q|, or one of its cosets has not recurred after |N:Q| powers.
     """
-    P, reps = _sylow_subgroup_classes(G, p)
-    for Q in reps:
-        if Q.is_trivial():
+    N = normalizer(G, Q)
+    S, n = N.store(), N.order()
+    index = n // Q.order()
+    if p_part(index, {p}) == index:
+        yield N.subgroup_of_ids(S.lookup(S.keys_of(Q)))
+        return
+    head = coset_heads(N, S.ids_of(Q.generators))  # Q's head is 0, the identity
+    heads = np.flatnonzero(head == np.arange(n))
+    if len(heads) != index:
+        raise AssertionError(f"{len(heads)} cosets of Q, not |N:Q| = {index}")
+    # powers[k - 1][j] is the head of the coset of heads[j]^k, until Q recurs
+    powers = [heads]
+    done = heads == 0
+    cur = heads
+    while not done.all():
+        if len(powers) == index:  # no coset of a subgroup has a larger order in N/Q
+            raise AssertionError(f"a coset of Q has order above |N:Q| = {index}")
+        cur = S.mul(cur, heads)
+        powers.append(head[cur])
+        done |= powers[-1] == 0
+    emitted: set[frozenset[int]] = set()
+    for row in np.array(powers).T.tolist():
+        m = row.index(0) + 1  # the order of Qt in N/Q
+        if m % p == 0:
             continue
-        N = _local(G, "normalizer", Q)
-        S, n = N.store(), N.order()
-        index = n // Q.order()
-        if p_part(index, {p}) == index:
-            yield N.subgroup_of_ids(S.lookup(S.keys_of(Q)))
+        key = frozenset(row[:m])
+        if key in emitted:
             continue
-        head = coset_heads(N, S.ids_of(Q.generators))  # Q's head is 0, the identity
-        heads = np.flatnonzero(head == np.arange(n))
-        if len(heads) != index:
-            raise AssertionError(f"{len(heads)} cosets of Q, not |N:Q| = {index}")
-        # powers[k - 1][j] is the head of the coset of heads[j]^k, until Q recurs
-        powers = [heads]
-        done = heads == 0
-        cur = heads
-        while not done.all():
-            if len(powers) == index:  # no coset of a subgroup has a larger order in N/Q
-                raise AssertionError(f"a coset of Q has order above |N:Q| = {index}")
-            cur = S.mul(cur, heads)
-            powers.append(head[cur])
-            done |= powers[-1] == 0
-        emitted: set[frozenset[int]] = set()
-        for row in np.array(powers).T.tolist():
-            m = row.index(0) + 1  # the order of Qt in N/Q
-            if m % p == 0:
-                continue
-            key = frozenset(row[:m])
-            if key in emitted:
-                continue
-            emitted.add(key)
-            cosets = np.zeros(n, dtype=bool)
-            cosets[row[:m]] = True
-            yield N.subgroup_of_ids(np.flatnonzero(cosets[head]))
+        emitted.add(key)
+        cosets = np.zeros(n, dtype=bool)
+        cosets[row[:m]] = True
+        yield N.subgroup_of_ids(np.flatnonzero(cosets[head]))
 
 
 # -- verdicts -----------------------------------------------------------
@@ -300,17 +286,26 @@ class Context:
     use: a Sylow p-subgroup P, its normalizer N and centralizer C in G,
     the p'-core R, ncq = |N/C|, the shape of P, the nontrivial subgroups
     of a cyclic P (:attr:`chain`), the Klein fours of P (:attr:`kleins`),
-    and the criterion verdict.  P and the normalizers and centralizers
-    (:meth:`local`) live on G, where the definition route finds them too;
-    the rest dies with the context."""
+    and the criterion verdict.  P lives on G, where the definition route
+    finds it too; the normalizers and centralizers (:meth:`local`) and the
+    rest die with the context."""
 
     def __init__(self, G: Group, p: int):
         self.G = G
         self.p = p
+        self._memo: dict[tuple[str, bytes], Group] = {}
 
     def local(self, name: str, H: Group) -> Group:
-        """N_G(H) or C_G(H) from G's memo (:func:`_local`)."""
-        return _local(self.G, name, H)
+        """N_G(H) or C_G(H), as ``name`` says ("normalizer" or "centralizer"),
+        memoized by the name and the bytes of the sorted keys of H's elements
+        at G's base, which name them as their ids in G would.  The function
+        is this module's binding of that name at call time, so a rebinding
+        (a test's counter, a tracer's wrapper) is the one that runs."""
+        key = (name, np.sort(self.G.store().keys_of(H)).tobytes())
+        if key not in self._memo:
+            fn = {"normalizer": normalizer, "centralizer": centralizer}[name]
+            self._memo[key] = fn(self.G, H)
+        return self._memo[key]
 
     @cached_property
     def P(self) -> Group:

@@ -748,11 +748,9 @@ class Group:
     lists a small group by generators, which then builds no chain),
     the store, the small generators, the conjugation tables and the class
     labels, which depend only on the generator list or the element set, so
-    concurrent readers agree; and two memos that die with the group,
-    ``_sylows`` (p to the Sylow p-subgroup that ``analysis.sylow`` found)
-    and ``_locals`` (the normalizers and centralizers that ``classify``
-    computed in it, keyed by name and by the subgroup's sorted keys at this
-    group's base), which both verdict routes read.
+    concurrent readers agree; and one memo that dies with the group,
+    ``_sylows`` (p to the Sylow p-subgroup that ``analysis.sylow`` found),
+    which both verdict routes read.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm], *, check: bool = True):
@@ -779,9 +777,7 @@ class Group:
         self._small_generators: Optional[tuple[Perm, ...]] = None
         self._conjugation_tables: Optional[list[np.ndarray]] = None
         self._class_labels: Optional[np.ndarray] = None
-        # memos that never hold the group itself, so it is freed when dropped
         self._sylows: dict[int, Group] = {}
-        self._locals: dict[tuple[str, bytes], Optional[Group]] = {}
 
     def __repr__(self) -> str:
         return f"Group(degree={self.degree}, ngens={len(self.generators)}, order={self.order()})"

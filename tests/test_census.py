@@ -1,4 +1,4 @@
-"""A census of the subgroups of S_n, n <= 5, that shares no code with the
+"""A census of the subgroups of S_n, n <= 6, that shares no code with the
 verdict routes: permutations are plain ``bytes`` (image of i at index i),
 subgroups are frozensets of them, and nothing from ``oortlab`` is imported.
 The routes are reached only through the command line, in a subprocess.
@@ -19,12 +19,17 @@ the definitions alone:
 
 A group is an O-group at p when every cyclic-by-p subgroup of order divisible
 by p is allowed (a cyclic-by-p subgroup of order prime to p is cyclic).
+
+Two relations need no oracle: a subgroup of a positive is positive, since
+the class is closed under subgroups, and relabelling a group's points and
+padding it with fixed points changes none of the routes' answers.
 """
 
 import functools
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -47,12 +52,15 @@ def _inv(a: bytes) -> bytes:
 
 
 def _closure(gens, one: bytes) -> frozenset:
+    """The group generated by gens, grown by left multiplication: with
+    g's table (g, then the bytes n..255 fixed), x.translate(table) is g * x."""
+    tables = [bytes(g) + bytes(range(len(one), 256)) for g in gens]
     els, frontier = {one}, [one]
     while frontier:
         new = []
         for x in frontier:
-            for g in gens:
-                y = _mul(x, g)
+            for t in tables:
+                y = x.translate(t)
                 if y not in els:
                     els.add(y)
                     new.append(y)
@@ -132,9 +140,10 @@ def _allowed(H: frozenset, p: int, one: bytes) -> bool:
 
 @functools.cache
 def _oracle(n: int):
-    """The census counts (classes, subgroups) of S_n, and for each class
-    rep R and each prime p dividing |R|, (R's generators, p, whether R is
-    an O-group at p)."""
+    """The census counts (classes, subgroups) of S_n; for each class rep R
+    and each prime p dividing |R|, (R's class index, R's generators, p,
+    whether R is an O-group at p); and for each class index, the indices
+    of the classes with a member inside that class's rep."""
     one = bytes(range(n))
     reps, classes = _census(n)
     fails = {}  # (class index, p) -> the class is cyclic-by-p but not allowed
@@ -146,15 +155,18 @@ def _oracle(n: int):
             fails[key] = _cyclic_by_p(R, p, one) and not _allowed(R, p, one)
         return fails[key]
 
-    decided = []
-    for R, gens in reps:
+    decided, below = [], []
+    for i, (R, gens) in enumerate(reps):
         subs = [K for K in classes if K <= R]
+        below.append({classes[K] for K in subs})
         for p in (q for q in (2, 3, 5) if len(R) % q == 0):
-            decided.append((gens, p, not any(len(K) % p == 0 and failing(K, p) for K in subs)))
-    return (len(reps), len(classes)), decided
+            decided.append((i, gens, p, not any(len(K) % p == 0 and failing(K, p) for K in subs)))
+    return (len(reps), len(classes)), decided, below
 
 
-@pytest.mark.parametrize("n, classes, subgroups", [(1, 1, 1), (2, 2, 2), (3, 4, 6), (4, 11, 30), (5, 19, 156)])
+@pytest.mark.parametrize(
+    "n, classes, subgroups", [(1, 1, 1), (2, 2, 2), (3, 4, 6), (4, 11, 30), (5, 19, 156), (6, 56, 1455)]
+)
 def test_census_counts_match_oeis(n, classes, subgroups):
     """Classes of subgroups of S_n (OEIS A000638) and subgroups (A005432)."""
     assert _oracle(n)[0] == (classes, subgroups)
@@ -162,30 +174,101 @@ def test_census_counts_match_oeis(n, classes, subgroups):
 
 ROUTES = """
 import json, sys
+import oortlab.perm as perm
 from oortlab.classify import is_o_group_by_criterion, is_o_group_by_definition
 from oortlab.perm import Group
+
+row_chains = 0
+row_chain_init = perm._RowChain.__init__
+
+
+def counting(self, *args):
+    global row_chains
+    row_chains += 1
+    row_chain_init(self, *args)
+
+
+perm._RowChain.__init__ = counting
 for line in sys.stdin:
     degree, gens, p = json.loads(line)
     G = Group(degree, gens)
-    print(json.dumps([is_o_group_by_definition(G, p).is_o_group, is_o_group_by_criterion(G, p).is_o_group]))
+    d, c = is_o_group_by_definition(G, p), is_o_group_by_criterion(G, p)
+    shapes = sorted([w.shape.label, w.subgroup.order()] for w in d.witnesses + c.witnesses)
+    print(json.dumps([d.is_o_group, c.is_o_group, c.branch, shapes]))
+print(json.dumps(row_chains))
 """
 
 
-def test_oracle_agrees_with_both_routes():
-    """Both routes decide every class rep of S_n, n <= 5, S_n and A_n among
-    them, at every prime dividing its order, as the oracle does."""
-    cases = [(n, [list(g) for g in gens], p, v) for n in range(1, 6) for gens, p, v in _oracle(n)[1]]
-    assert {v for *_, v in cases} == {True, False}
+def _routes(requests):
+    """Both routes on each (degree, generators, p), in one subprocess: for
+    each, [definition verdict, criterion verdict, criterion branch, sorted
+    witness (shape, order) pairs], then the number of row-kernel chains
+    built."""
     proc = subprocess.run(
         [sys.executable, "-c", ROUTES],
-        input="".join(json.dumps([n, gens, p]) + "\n" for n, gens, p, _ in cases),
+        input="".join(json.dumps(r) + "\n" for r in requests),
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
-    got = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(got) == len(cases)
-    for (n, gens, p, v), routes in zip(cases, got):
-        assert routes == [v, v], (n, gens, p)
+    *got, row_chains = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(got) == len(requests)
+    return got, row_chains
+
+
+@pytest.fixture(scope="module")
+def census_routes():
+    """{(n, class index, p): (the oracle's verdict, the routes' answer)}
+    for every class rep of S_n, n <= 6, at every prime dividing its order."""
+    cases = [(n, i, [list(g) for g in gens], p, v) for n in range(1, 7) for i, gens, p, v in _oracle(n)[1]]
+    got, _ = _routes([[n, gens, p] for n, _, gens, p, _ in cases])
+    return {(n, i, p): (v, routes) for (n, i, _, p, v), routes in zip(cases, got)}
+
+
+def test_oracle_agrees_with_both_routes(census_routes):
+    """Both routes decide every class rep of S_n, n <= 6, S_n and A_n among
+    them, at every prime dividing its order, as the oracle does."""
+    assert {v for v, _ in census_routes.values()} == {True, False}
+    for key, (v, routes) in census_routes.items():
+        assert routes[:2] == [v, v], key
+
+
+def test_subgroups_of_positives_are_positive(census_routes):
+    """The class is closed under subgroups: when a route calls a class rep
+    R positive at p, it calls positive at p every class with a member
+    inside R whose order p divides (the classes that have p among their
+    primes)."""
+    for route in (0, 1):
+        positive = {key for key, (_, routes) in census_routes.items() if routes[route]}
+        for n, i, p in positive:
+            for j in _oracle(n)[2][i]:
+                assert (n, j, p) not in census_routes or (n, j, p) in positive, (route, n, i, j, p)
+
+
+def test_relabelled_and_padded_reps_keep_their_answers(census_routes):
+    """Each class rep of S_5 and S_6 at each prime, its points relabelled at
+    random and padded with fixed points to a degree of 101-120, gets the
+    same two verdicts, criterion branch and witness (shape, order) pairs.
+    The padding puts it on the row kernel (A_6 and S_6 are enumerated
+    from a row-kernel chain) and moves the store's base."""
+    rng = random.Random(5)
+    keys, requests = [], []
+    for n in (5, 6):
+        for i, gens, p, _ in _oracle(n)[1]:
+            degree = rng.randint(101, 120)
+            relabel = rng.sample(range(degree), degree)
+            padded = [[*g, *range(n, degree)] for g in gens]
+            moved = []
+            for g in padded:
+                h = [0] * degree
+                for x, y in enumerate(g):
+                    h[relabel[x]] = relabel[y]
+                moved.append(h)
+            keys.append((n, i, p))
+            requests.append([degree, moved, p])
+    got, row_chains = _routes(requests)
+    assert row_chains > 0
+    for key, routes in zip(keys, got):
+        assert routes == census_routes[key][1], key

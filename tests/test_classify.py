@@ -583,10 +583,11 @@ def test_class_reps_match_the_orbit_scan_on_the_catalogue():
 
 
 def test_stream_matches_the_full_coset_walk_on_the_catalogue():
-    """Q alone when |N_G(Q):Q| is a power of p, N_G(Q) from G's memo,
-    and the cosets labelled by coset_heads, on every catalogue pair of
-    order <= 3000 and on the two heavy DELPERM specs at p = 7, where the
-    normalizers are largest: the same candidates, in order."""
+    """Q alone when |N_G(Q):Q| is a power of p, N_G(Q) computed by the
+    stream itself, and the cosets labelled by coset_heads, on every
+    catalogue pair of order <= 3000 and on the two heavy DELPERM specs at
+    p = 7, where the normalizers are largest: the same candidates, in
+    order."""
     for spec, p in [*_catalogue_pairs(3000), ("DELPERM:7:A4", 7), ("DELPERM:7:S4", 7)]:
         G = build_group(spec)
         got = [_keys(G, H) for H in _cyclic_by_p_stream(G, p)]
@@ -602,7 +603,7 @@ def test_stream_raises_on_a_class_rep_that_is_not_a_subgroup(monkeypatch):
     Q = Group.from_element_set(4, [a, G.identity()])
     Q._element_list = [a, G.identity()]
     monkeypatch.setattr(classify, "_sylow_subgroup_classes", lambda G, p: (None, [Q]))
-    monkeypatch.setattr(classify, "_local", lambda G, name, H: G)
+    monkeypatch.setattr(classify, "normalizer", lambda G, H: G)
 
     def spun(*args):
         raise RuntimeError("the power loop spun for 5 s")
@@ -619,14 +620,12 @@ def test_stream_raises_on_a_class_rep_that_is_not_a_subgroup(monkeypatch):
 
 @pytest.mark.parametrize("spec, p", [("D:16", 2), ("S:4", 3), ("A:5", 2), ("PSL2:13", 7), ("PGL2:9", 3)])
 def test_memos_die_with_the_group(spec, p):
-    """G's Sylow and local-subgroup memos hold no reference to G, so G is
-    freed when the last outside reference goes, with no garbage
-    collection."""
+    """G's Sylow memo holds no reference to G, so G is freed when the last
+    outside reference goes, with no garbage collection."""
     G = build_group(spec)
     is_o_group_by_definition(G, p)
     is_o_group_by_criterion(G, p)
     assert G._sylows or G.order() == p_part(G.order(), {p})
-    assert G._locals
     ref = weakref.ref(G)
     gc.disable()
     try:
@@ -634,6 +633,40 @@ def test_memos_die_with_the_group(spec, p):
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("spec, p", [("S:4", 3), ("A:5", 2), ("PSL2:13", 7), ("DELPERM:5:A4", 5)])
+def test_normalizers_and_centralizers_die_with_their_route(monkeypatch, spec, p):
+    """G keeps no normalizer or centralizer: every one but G itself is
+    freed, with no garbage collection, when the definition route returns
+    and when the criterion's context, with N_G(P) and C_G(P) read, is
+    dropped."""
+    G = build_group(spec)
+    refs = []
+
+    def keeping(fn):
+        def wrapper(G, H):
+            K = fn(G, H)
+            if K is not G:
+                refs.append(weakref.ref(K))
+            return K
+
+        return wrapper
+
+    for name in ("normalizer", "centralizer"):
+        monkeypatch.setattr(classify, name, keeping(getattr(classify, name)))
+    gc.disable()
+    try:
+        is_o_group_by_definition(G, p)
+        assert refs and all(r() is None for r in refs)
+        refs.clear()
+        ctx = Context(G, p)
+        assert ctx.verdict and ctx.N and ctx.C and refs
+        del ctx
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+    assert not hasattr(G, "_locals")
 
 
 @pytest.mark.parametrize("spec", ["D:12", "Q:16", "A:4", "S:5", "PGL2:9", "INV:15:8:klein", "PROD:(C:2)x(C:2)"])

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_audit_violation_exit(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "spec,p,sylows",
     [
-        ("S:4", 3, 2),  # odd, basic1 applies: its stream asks G's memo again
+        ("S:4", 3, 2),  # odd, basic1 applies: its stream asks for the Sylow again
         ("A:5", 2, 1),  # even
         ("D:18", 2, 1),  # cyclic Sylow
     ],
@@ -303,13 +304,14 @@ def test_audit_computes_core_and_sylow_once(capsys, monkeypatch, spec, p, sylows
 )
 def test_one_normalizer_and_centralizer_per_subgroup(capsys, monkeypatch, argv):
     """The criterion, the report and the claim audit of one request share
-    each N_G(H) and C_G(H), and so does basic1's cyclic-by-p stream on odd
-    audits: all of them read G's memo."""
+    each N_G(H) and C_G(H) through their context's memo (Context.local);
+    basic1's cyclic-by-p stream on odd audits computes its own normalizers,
+    each once.  Calls are told apart by their caller."""
     keys = {"normalizer": [], "centralizer": []}
 
     def counting(name, fn):
         def wrapper(G, H):
-            keys[name].append((G.order(), H.element_set()))
+            keys[name].append((sys._getframe(1).f_code.co_name, G.order(), H.element_set()))
             return fn(G, H)
 
         return wrapper
@@ -329,9 +331,10 @@ def test_one_normalizer_and_centralizer_per_subgroup(capsys, monkeypatch, argv):
 )
 def test_both_routes_share_the_sylow_and_each_normalizer(capsys, monkeypatch, spec, p, growths):
     """Under check --route both the definition route and the criterion
-    read G's memos: the Sylow subgroup is grown once per (G, p), not at
-    all when G is a p-group, and each normalizer is computed once per
-    subgroup."""
+    read the Sylow subgroup kept on G: it is grown once per (G, p), not at
+    all when G is a p-group.  Normalizers are not shared: each route
+    computes each of its own once (the stream per class rep, the criterion
+    through its context), so calls are keyed by their caller."""
     grown, normalized = [], []
 
     def growing(fn):
@@ -342,7 +345,7 @@ def test_both_routes_share_the_sylow_and_each_normalizer(capsys, monkeypatch, sp
         return wrapper
 
     def normalizing(G, H):
-        normalized.append((id(G), np.sort(G.store().keys_of(H)).tobytes()))
+        normalized.append((sys._getframe(1).f_code.co_name, id(G), np.sort(G.store().keys_of(H)).tobytes()))
         return analysis.normalizer(G, H)
 
     for name in ("_sylow_by_ids", "_sylow_by_perms"):

@@ -41,11 +41,16 @@ O_pi's orders and the minimal normal subgroups' order read from the store,
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from oortlab.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_outputs.json").read_text())
+COMPARE_OUTPUTS = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+CATALOGUE_SHA256 = "fc3ac06b7c227b16f2ace8c0232959d4b55bf1530ee5e43a223a2ef016247a7a"
 
 
 def test_cli_outputs_match_golden(capsys):
@@ -57,3 +62,15 @@ def test_cli_outputs_match_golden(capsys):
             # recorded before this report had ncq; test_cli pins ncq == 1
             doc.pop("ncq", None)
         assert (code, doc) == (case["exit"], case["output"]), case["argv"]
+
+
+def test_catalogue_outputs_match_their_hash(tmp_path):
+    """tools/compare_outputs.py over every catalogue request (802 of them,
+    the heavy specs included), at the default enumeration cap: the sha256
+    of its output lines is pinned.  An intended output change updates
+    CATALOGUE_SHA256, with the reason in CHANGES.md, as a re-recorded
+    golden_outputs.json would."""
+    env = {k: v for k, v in os.environ.items() if k != "OORTLAB_ENUM_CAP"}
+    out = tmp_path / "outputs.jsonl"
+    subprocess.run([sys.executable, str(COMPARE_OUTPUTS), str(out)], env=env, check=True, timeout=600)
+    assert out.read_text().splitlines()[-1] == f"sha256 {CATALOGUE_SHA256}"
