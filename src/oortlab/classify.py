@@ -26,14 +26,15 @@ The criterion, the structure reports and the claim audit share one
 :class:`Context` per (G, p), holding P, the p'-core, the criterion
 verdict and the p-local subgroups they all read (the subgroups of a
 cyclic P, as ``subgroups_of_p_group`` lists them, and the Klein fours of
-P, each cut from P's store by id with the generators it is built from).
+P), each one object, so that the normalizers and centralizers memoized
+by that object are computed once per request.
 On a G of order at least KEYED_MIN_ORDER the criterion never lists G:
 sylow, the normalizers and centralizers and the inversion test read G's
 store.  Nor does the audit: the reports read element orders and
 memberships from stores and ids, G/R is the coset action on G's ids, and
 ``basic1`` compares subgroups by their keys and tests each stream
-candidate against one orbit of N_G(P)'s ids.  The definition route never
-takes a context.
+candidate for containment in N_G(P), a mask over G's ids.  The
+definition route never takes a context.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def _candidates_over(G: Group, Q: Group, p: int) -> Iterator[Group]:
     if p_part(index, {p}) == index:
         yield N.subgroup_of_ids(S.lookup(S.keys_of(Q)))
         return
-    head = coset_heads(N, S.ids_of(Q.generators))  # Q's head is 0, the identity
+    head = coset_heads(N, S.ids_of(Q.generators))  # Q's head is 0
     heads = np.flatnonzero(head == np.arange(n))
     if len(heads) != index:
         raise AssertionError(f"{len(heads)} cosets of Q, not |N:Q| = {index}")
@@ -286,22 +287,23 @@ class Context:
     use: a Sylow p-subgroup P, its normalizer N and centralizer C in G,
     the p'-core R, ncq = |N/C|, the shape of P, the nontrivial subgroups
     of a cyclic P (:attr:`chain`), the Klein fours of P (:attr:`kleins`),
-    and the criterion verdict.  P lives on G, where the definition route
+    and the criterion verdict.  Equal subgroups among P, the chain and the
+    Klein fours are one object.  P lives on G, where the definition route
     finds it too; the normalizers and centralizers (:meth:`local`) and the
     rest die with the context."""
 
     def __init__(self, G: Group, p: int):
         self.G = G
         self.p = p
-        self._memo: dict[tuple[str, bytes], Group] = {}
+        self._memo: dict[tuple[str, Group], Group] = {}
 
     def local(self, name: str, H: Group) -> Group:
         """N_G(H) or C_G(H), as ``name`` says ("normalizer" or "centralizer"),
-        memoized by the name and the bytes of the sorted keys of H's elements
-        at G's base, which name them as their ids in G would.  The function
-        is this module's binding of that name at call time, so a rebinding
-        (a test's counter, a tracer's wrapper) is the one that runs."""
-        key = (name, np.sort(self.G.store().keys_of(H)).tobytes())
+        memoized by the name and the subgroup object H (a ``Group`` hashes
+        by identity), which is one of the context's own.  The function is
+        this module's binding of that name at call time, so a rebinding (a
+        test's counter, a tracer's wrapper) is the one that runs."""
+        key = (name, H)
         if key not in self._memo:
             fn = {"normalizer": normalizer, "centralizer": centralizer}[name]
             self._memo[key] = fn(self.G, H)
@@ -331,19 +333,21 @@ class Context:
 
     @cached_property
     def kleins(self) -> list[Group]:
-        """All elementary abelian subgroups of order 4 in P, each cut from
-        P's store with the first pair of commuting involutions {x, y}, in
-        P's element order, that generates it."""
+        """All elementary abelian subgroups of order 4 in P: P itself when P
+        is the Klein four, else each cut from P's store with the first pair
+        of commuting involutions {x, y}, in P's element order, that
+        generates it."""
         P = self.P
         if P.order() % 4:
             return []
         S = P.store()
         invs = np.flatnonzero(S.orders(np.arange(P.order())) == 2)
+        if P.order() == 4 and len(invs) == 3:
+            return [P]
         xy = S.mul(invs[:, None], invs[None, :])
-        one = S.lookup(S.key(S.base))
         found: dict[frozenset[int], tuple[int, int]] = {}
         for i, j in zip(*np.nonzero(np.triu(xy == xy.T, 1))):
-            found.setdefault(frozenset(map(int, (one, invs[i], invs[j], xy[i, j]))), (invs[i], invs[j]))
+            found.setdefault(frozenset(map(int, (0, invs[i], invs[j], xy[i, j]))), (invs[i], invs[j]))
         return [
             P.subgroup_of_ids(np.array(sorted(ids)), [S.perm(g) for g in pair])
             for ids, pair in found.items()
@@ -724,24 +728,15 @@ def _check_two_cases_odd(ctx: Context) -> bool:
     return True
 
 
-def _in_some_row(ids: np.ndarray, rows: np.ndarray, n: int) -> bool:
-    """Whether some row of ``rows`` (ids of a group of order n) holds every
-    id in ``ids`` (distinct): one count over the rows, O(rows.size)."""
-    hit = np.zeros(n, dtype=bool)
-    hit[ids] = True
-    return bool((np.count_nonzero(hit[rows], axis=1) == len(ids)).any())
-
-
 def _check_basic1(ctx: Context) -> bool:
     """N(Q) = N(P) and C(Q) = C(P) for every nontrivial Q <= P, C(P)
     abelian and inverted by every element of N(P) outside it, and every
     cyclic-by-p subgroup H of order divisible by p conjugate into N(P).
-    The subgroups are compared by their sorted keys at G's base.  H^g lies
-    in N(P) exactly when H lies in N(P)^(g^-1) = N(P^(g^-1)), so the last
-    test reads the one orbit of N(P)'s ids under G's conjugation tables,
-    its |G:N(P)| conjugates (N(P) is self-normalizing), as the rows of an
-    array of |G| ids, and looks for a row holding H's ids
-    (:func:`_in_some_row`)."""
+    The subgroups are compared by their sorted keys at G's base.  The
+    stream lists such an H up to conjugacy, each cut from N_G(Q) for a Q
+    of the chain, which the clause before has shown to be N(P); so the
+    last clause tests that each stream candidate lies in N(P), a mask over
+    G's ids."""
     G, p, NP, CP = ctx.G, ctx.p, ctx.N, ctx.C
     if not is_abelian(CP) or not _inverting_outside(NP, CP):
         return False
@@ -755,13 +750,9 @@ def _check_basic1(ctx: Context) -> bool:
     for Q in ctx.chain:
         if keys(ctx.local("centralizer", Q)) != cp_keys or keys(ctx.local("normalizer", Q)) != np_keys:
             return False
-    np_ids = np.sort(S.lookup(S.keys_of(NP)))
-    orbit = id_orbit(np_ids, G.conjugation_tables())
-    conjugates = np.frombuffer(b"".join(orbit), dtype=np_ids.dtype).reshape(len(orbit), len(np_ids))
-    return all(
-        _in_some_row(S.lookup(S.keys_of(H)), conjugates, G.order())
-        for H in _cyclic_by_p_stream(G, p)
-    )
+    in_np = np.zeros(G.order(), dtype=bool)
+    in_np[S.lookup(S.keys_of(NP))] = True
+    return all(in_np[S.lookup(S.keys_of(H))].all() for H in _cyclic_by_p_stream(G, p))
 
 
 def _check_nontrivial_center_2(G: Group, P: Group, R: Group, Z: Group) -> bool:

@@ -553,16 +553,18 @@ class ElementStore:
     """The integer form of an enumerated group G.
 
     ``E`` holds one image row per element, in ``G.element_list()`` order;
-    an element's id is its row.  ``base`` holds the points of a base of G
-    (its chain's, or that of the group a subgroup was cut from), and the
-    key of g is the number sum g[b_i] * degree**i formed from its base
-    images.  Only the identity of G fixes every base point, so the key
-    determines an element of G, and membership of an element of
-    G in a subgroup H is a key lookup among H's keys at this base.  Keys
-    are int64 unless degree**len(base) overflows it; then the key is the
-    fixed-width bytes of the int32 base images (a numpy void scalar), which
-    sort and compare as well.  ``lookup`` finds ids with ``searchsorted``
-    in the sorted keys, sorted on first use.
+    an element's id is its row.  The identity is id 0 in every store:
+    :func:`mulclose` and :func:`_enumerate` list from it, and a sorted
+    listing starts with it, the least permutation.  ``base`` holds the
+    points of a base of G (its chain's, or that of the group a subgroup
+    was cut from), and the key of g is the number sum g[b_i] * degree**i
+    formed from its base images.  Only the identity of G fixes every base
+    point, so the key determines an element of G, and membership of an
+    element of G in a subgroup H is a key lookup among H's keys at this
+    base.  Keys are int64 unless degree**len(base) overflows it; then the
+    key is the fixed-width bytes of the int32 base images (a numpy void
+    scalar), which sort and compare as well.  ``lookup`` finds ids with
+    ``searchsorted`` in the sorted keys, sorted on first use.
     """
 
     __slots__ = ("E", "base", "radix", "keys", "ids", "_inverse_base")
@@ -801,10 +803,7 @@ class Group:
 
     def order(self) -> int:
         if self._order is None:
-            if self._element_set is not None:
-                self._order = len(self._element_set)
-            else:
-                self._order = self.chain.order()
+            self._order = self.chain.order()
         return self._order
 
     def has_order(self, n: int) -> bool:
@@ -1028,18 +1027,6 @@ def _base_of(els: Sequence[Perm]) -> list[int]:
     return base
 
 
-class QuotientMap:
-    """The homomorphism G -> G/N realized by the left-coset action: coset k
-    is the k-th in the order of the cosets' least ids, and ``coset[x]`` is
-    the coset of the element with id x."""
-
-    def __init__(self, G: Group, N: Group, coset: np.ndarray, rep_ids: np.ndarray):
-        self.domain = G
-        self.kernel = N
-        self.coset = coset
-        self.rep_ids = rep_ids  # the least id of each coset
-
-
 def is_normal(G: Group, H: Group) -> bool:
     """Whether H is a normal subgroup of G: every generator of H lies in G
     (else ``ElementStore.lookup`` would name some other element), and
@@ -1059,13 +1046,14 @@ def coset_heads(G: Group, gen_ids: Sequence[int]) -> np.ndarray:
     subgroup N of G generated by the elements with ids ``gen_ids``: the
     least id joined to x by right multiplication by those generators,
     x -> x n (:func:`_least_labels`).  Ids in one coset share their head,
-    and the head of N itself is 0, the identity."""
+    and the head of N itself is 0."""
     S, n = G.store(), G.order()
     return _least_labels(n, [S.mul(np.arange(n), h) for h in gen_ids])
 
 
-def quotient_by(G: Group, N: Group) -> tuple[Group, QuotientMap]:
-    """Permutation action of G on the left cosets of a normal subgroup N.
+def quotient_by(G: Group, N: Group) -> tuple[Group, np.ndarray]:
+    """Permutation action of G on the left cosets of a normal subgroup N,
+    and for every id x of G the number of the coset of x.
 
     The kernel of the action is exactly N, so the image is faithful for G/N.
     Cosets are numbered in the order of their heads (:func:`coset_heads`),
@@ -1076,10 +1064,9 @@ def quotient_by(G: Group, N: Group) -> tuple[Group, QuotientMap]:
     if not is_normal(G, N):
         raise NotNormal("subgroup is not normal in the ambient group")
     S = G.store()
-    rep_ids, coset = np.unique(coset_heads(G, S.ids_of(N.generators)), return_inverse=True)
-    qmap = QuotientMap(G, N, coset, rep_ids)
-    qgens = [Perm(row) for row in coset[S.mul(S.ids_of(G.generators)[:, None], rep_ids)].tolist()]
-    Q = Group(len(rep_ids), qgens, check=False)
+    heads, coset = np.unique(coset_heads(G, S.ids_of(N.generators)), return_inverse=True)
+    qgens = [Perm(row) for row in coset[S.mul(S.ids_of(G.generators)[:, None], heads)].tolist()]
+    Q = Group(len(heads), qgens, check=False)
     if Q.order() * N.order() != G.order():
         raise AssertionError("coset action order mismatch")
-    return Q, qmap
+    return Q, coset

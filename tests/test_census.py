@@ -123,19 +123,43 @@ def _cyclic_by_p(H: frozenset, p: int, one: bytes) -> bool:
     return any(len({_mul(x, y) for x in P for y in _closure([k], one)}) == len(H) for k in H)
 
 
+def _dihedral(H: frozenset, orders: dict, one: bytes) -> bool:
+    """An element r of order m = |H|/2 and an involution s outside <r>
+    with s r s = r^-1 (m > 1 given)."""
+    m = len(H) // 2
+    for r in (x for x in H if orders[x] == m):
+        rotations = _closure([r], one)
+        r_inv = _inv(r)
+        if any(orders[s] == 2 and s not in rotations and _mul(_mul(s, r), s) == r_inv for s in H):
+            return True
+    return False
+
+
+def _a4(orders: dict) -> bool:
+    return len(orders) == 12 and list(orders.values()).count(2) == 3 and 6 not in orders.values()
+
+
 def _allowed(H: frozenset, p: int, one: bytes) -> bool:
     n = len(H)
     orders = {x: _order(x, one) for x in H}
     if n in orders.values():
         return True
     m = n // 2
-    if n % 2 == 0 and m > 1 and _is_power_of(m, p):
-        for r in (x for x in H if orders[x] == m):
-            rotations = _closure([r], one)
-            r_inv = _inv(r)
-            if any(orders[s] == 2 and s not in rotations and _mul(_mul(s, r), s) == r_inv for s in H):
-                return True
-    return p == 2 and n == 12 and list(orders.values()).count(2) == 3 and 6 not in orders.values()
+    if n % 2 == 0 and m > 1 and _is_power_of(m, p) and _dihedral(H, orders, one):
+        return True
+    return p == 2 and _a4(orders)
+
+
+def _shape_label(H: frozenset, one: bytes) -> str:
+    """The label of H's shape from the definitions: Cn when an element has
+    order n = |H|, else Dn when H is dihedral, else A4, else Other(n)."""
+    n = len(H)
+    orders = {x: _order(x, one) for x in H}
+    if n in orders.values():
+        return f"C{n}"
+    if n % 2 == 0 and n >= 4 and _dihedral(H, orders, one):
+        return f"D{n}"
+    return "A4" if _a4(orders) else f"Other({n})"
 
 
 @functools.cache
@@ -194,7 +218,8 @@ for line in sys.stdin:
     G = Group(degree, gens)
     d, c = is_o_group_by_definition(G, p), is_o_group_by_criterion(G, p)
     shapes = sorted([w.shape.label, w.subgroup.order()] for w in d.witnesses + c.witnesses)
-    print(json.dumps([d.is_o_group, c.is_o_group, c.branch, shapes]))
+    gens = [[w.shape.label, w.subgroup.order(), w.subgroup.generators] for w in d.witnesses]
+    print(json.dumps([d.is_o_group, c.is_o_group, c.branch, shapes, gens]))
 print(json.dumps(row_chains))
 """
 
@@ -202,7 +227,8 @@ print(json.dumps(row_chains))
 def _routes(requests):
     """Both routes on each (degree, generators, p), in one subprocess: for
     each, [definition verdict, criterion verdict, criterion branch, sorted
-    witness (shape, order) pairs], then the number of row-kernel chains
+    witness (shape, order) pairs, (shape, order, generators) of each
+    definition-route witness], then the number of row-kernel chains
     built."""
     proc = subprocess.run(
         [sys.executable, "-c", ROUTES],
@@ -271,4 +297,22 @@ def test_relabelled_and_padded_reps_keep_their_answers(census_routes):
     got, row_chains = _routes(requests)
     assert row_chains > 0
     for key, routes in zip(keys, got):
-        assert routes == census_routes[key][1], key
+        assert routes[:4] == census_routes[key][1][:4], key
+
+
+def test_witnesses_of_negatives_are_negative(census_routes):
+    """Each witness that the definition route gives for a negative class
+    rep of S_n, n <= 6, rebuilt from its generators as a group on n
+    points, is negative at p under both routes, and the oracle finds it a
+    cyclic-by-p group that is not allowed, of the printed order and
+    shape."""
+    negatives = {key: routes[4] for key, (v, routes) in census_routes.items() if not v}
+    assert len(negatives) == 25 and all(negatives.values())
+    cases = [(n, p, w) for (n, _, p), witnesses in negatives.items() for w in witnesses]
+    got, _ = _routes([[n, gens, p] for n, p, (_, _, gens) in cases])
+    for (n, p, (label, order, gens)), routes in zip(cases, got):
+        one = bytes(range(n))
+        H = _closure([bytes(g) for g in gens], one)
+        assert routes[:2] == [False, False], (n, p, gens)
+        assert _cyclic_by_p(H, p, one) and not _allowed(H, p, one), (n, p, gens)
+        assert [label, order] == [_shape_label(H, one), len(H)], (n, p, gens)

@@ -32,7 +32,6 @@ from oortlab.classify import (
     _check_basic1,
     _check_nontrivial_center_2,
     _cyclic_by_p_stream,
-    _in_some_row,
     _identify_quotient,
     _sylow_subgroup_classes,
     allowed_shape,
@@ -846,42 +845,47 @@ def test_basic1_matches_the_orbit_walk_on_random_subgroups(case):
     assert _check_basic1(ctx) == _check_basic1_by_orbits(ctx)
 
 
-def _sylow_normalizer_conjugates(G, p):
-    """The conjugates of N_G(P) as rows of sorted ids, as _check_basic1
-    builds them."""
-    from oortlab.analysis import id_orbit
+@pytest.mark.parametrize("spec, p", [("S:4", 3), ("D:18", 3), ("PSL2:13", 7)])
+def test_basic1_walks_no_conjugates(monkeypatch, spec, p):
+    """With the context's chain, N(P) and C(P) built, basic1 passes without
+    walking an orbit of ids or reading G's conjugation tables: each stream
+    candidate is tested for containment in N(P) itself."""
+    G = build_group(spec)
+    ctx = Context(G, p)
+    assert ctx.chain and ctx.N and ctx.C and ctx.ncq != 1
+    calls = []
 
-    S, NP = G.store(), Context(G, p).N
-    np_ids = np.sort(S.lookup(S.keys_of(NP)))
-    orbit = id_orbit(np_ids, G.conjugation_tables())
-    return np.frombuffer(b"".join(orbit), dtype=np_ids.dtype).reshape(len(orbit), len(np_ids))
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(classify, "id_orbit", counting("id_orbit", classify.id_orbit))
+    monkeypatch.setattr(G, "conjugation_tables", counting("tables", G.conjugation_tables))
+    assert _check_basic1(ctx)
+    assert calls == []
 
 
-def test_membership_in_some_sylow_normalizer():
-    """In S5 the six Sylow 5-normalizers are Frobenius groups of order 20,
-    with cyclic Sylow 2-subgroups.  Every involution (a b)(c d) lies in one
-    of them, but the Klein four they form lies in none; nor does a
-    3-cycle, a transposition or S5."""
-    G = build_group("S:5")
-    S = G.store()
-    rows = _sylow_normalizer_conjugates(G, 5)
-    assert rows.shape == (6, 20)
+@pytest.mark.parametrize("spec", ["A:4", "A:5", "PSL2:11"])
+def test_a_klein_four_sylow_is_its_own_klein(monkeypatch, spec):
+    """When P is the Klein four, kleins is [P], the same object, so the
+    audit computes C_G(P) once, not once for P and once for the Klein
+    four."""
+    G = build_group(spec)
+    ctx = Context(G, 2)
+    assert len(ctx.kleins) == 1 and ctx.kleins[0] is ctx.P
+    pset = ctx.P.element_set()
+    calls = []
 
-    def inside(*cycles):
-        H = Group(5, [perm_from_cycles(5, c) for c in cycles])
-        return _in_some_row(S.lookup(S.keys_of(H)), rows, G.order())
+    def counting(G, H):
+        calls.append(H.element_set() == pset)
+        return centralizer(G, H)
 
-    assert inside([(0, 1, 2, 3, 4)])
-    assert inside([(0, 1, 2, 3, 4)], [(1, 2, 4, 3)])  # a whole normalizer
-    assert inside([(1, 2, 4, 3)])
-    assert inside([(0, 1), (2, 3)])
-    assert not inside([(0, 1), (2, 3)], [(0, 2), (1, 3)])
-    assert not inside([(0, 1, 2)])
-    assert not inside([(0, 1)])
-    assert not inside([(0, 1, 2, 3, 4)], [(0, 1)])
-    # the union of the rows is all of the involutions of type (a b)(c d)
-    v4 = [S.lookup(S.keys_of(Group(5, [perm_from_cycles(5, c)]))) for c in ([(0, 1), (2, 3)], [(0, 2), (1, 3)])]
-    assert all(_in_some_row(ids, rows, G.order()) for ids in v4)
+    monkeypatch.setattr(classify, "centralizer", counting)
+    _audit_doc(spec, build_group(spec), 2)
+    assert calls.count(True) == 1
 
 
 def _a4_embeds_by_perms(ctx) -> bool:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oortlab.analysis import centralizer, normal_closure
 from oortlab.construct import build_group
 from oortlab.errors import CapExceeded, DegreeMismatch, NonMember, NotNormal
 from oortlab import perm
@@ -452,6 +453,52 @@ def test_store_rows_keys_and_ids(spec):
     assert (S.keys[1:] > S.keys[:-1]).all()
 
 
+def _v4_in_s4():
+    s4 = build_group("S:4")
+    return s4, s4.subgroup([perm_from_cycles(4, [(0, 1), (2, 3)]), perm_from_cycles(4, [(0, 2), (1, 3)])])
+
+
+def _enumerated(spec, kernel):
+    G = build_group(spec)
+    assert G.order() >= KEYED_MIN_ORDER and type(G.chain) is kernel
+    return G
+
+
+def _cut(G):
+    """The centralizer of G's last generator, cut from G's store by ids."""
+    return centralizer(G, Group(G.degree, G.generators[-1:]))
+
+
+def _from_shuffled_set():
+    els = list(mulclose(build_group("S:4").generators))
+    random.Random(2).shuffle(els)
+    return Group.from_element_set(4, els)
+
+
+STORE_BUILDS = {
+    "listed": lambda: build_group("S:4"),
+    "perm-chain": lambda: _enumerated("PSL2:13", perm._PermChain),
+    "row-chain": lambda: _enumerated("DELPERM:5:A4", perm._RowChain),
+    "cut-from-listed": lambda: _cut(build_group("S:4")),
+    "cut-from-unlisted": lambda: _cut(_enumerated("PSL2:13", perm._PermChain)),
+    "from-element-set": _from_shuffled_set,
+    "quotient": lambda: quotient_by(*_v4_in_s4())[0],
+    "normal-closure": lambda: normal_closure(build_group("S:5"), [perm_from_cycles(5, [(0, 1, 2)])]),
+    "trivial": lambda: Group(5, []),
+}
+
+
+@pytest.mark.parametrize("build", STORE_BUILDS.values(), ids=STORE_BUILDS.keys())
+def test_the_identity_is_id_0_of_every_store(build):
+    """Every way a store is built puts the identity at id 0, which the
+    coset heads, the masks that start the closures and the Klein fours
+    read without looking it up."""
+    G = build()
+    S = G.store()
+    assert Perm(S.E[0].tolist()).is_identity()
+    assert S.lookup(S.key(S.base)) == 0
+
+
 def _brute_force_class_labels(G: Group) -> list[int]:
     """The least id of {g x g^-1 : g in G} for every id x, one class at a
     time from Perm products."""
@@ -503,14 +550,15 @@ def test_quotient_by():
     v4 = s4.subgroup(
         [perm_from_cycles(4, [(0, 1), (2, 3)]), perm_from_cycles(4, [(0, 2), (1, 3)])]
     )
-    Q, qmap = quotient_by(s4, v4)
+    Q, coset = quotient_by(s4, v4)
     assert Q.order() * v4.order() == s4.order()
     S = s4.store()
     # kernel of the map is exactly v4
-    assert np.flatnonzero(qmap.coset == 0).tolist() == sorted(S.ids_of(v4.element_list()).tolist())
+    assert np.flatnonzero(coset == 0).tolist() == sorted(S.ids_of(v4.element_list()).tolist())
+    rep_ids = np.unique(coset, return_index=True)[1]  # the least id of each coset
 
     def image(g):
-        return Perm(qmap.coset[S.mul(S.ids_of([g]), qmap.rep_ids)].tolist())
+        return Perm(coset[S.mul(S.ids_of([g]), rep_ids)].tolist())
 
     a, b = s4.element_list()[5], s4.element_list()[9]
     assert image(a * b) == image(a) * image(b)
@@ -577,11 +625,11 @@ def _assert_quotients_match_the_perm_reference(G: Group):
             continue
         if G.order() // N.order() > 200:  # a coset action of high degree builds a slow chain
             continue
-        Q, qmap = quotient_by(G, N)
+        Q, coset = quotient_by(G, N)
         Q_ref, reps, coset_index = _quotient_by_perms(G, N)
         assert Q.generators == Q_ref.generators and Q.order() == Q_ref.order()
-        assert [els[i] for i in qmap.rep_ids.tolist()] == reps
-        assert qmap.coset.tolist() == [coset_index[g] for g in els]
+        assert [els[i] for i in np.unique(coset, return_index=True)[1].tolist()] == reps
+        assert coset.tolist() == [coset_index[g] for g in els]
 
 
 @pytest.mark.parametrize("spec", ["S:4", "D:36", "PGL2:7", "INV:9:16:cyclic", "INV:15:8:klein", "DELPERM:5:A4"])
