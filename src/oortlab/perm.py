@@ -5,8 +5,8 @@ Points are 0-based.  The composition convention is (a * b)(x) = a(b(x)):
 
 :class:`Group` owns its element store: the deterministic stabilizer chain
 (base points chosen as the lowest moved point), the integer
-:class:`ElementStore`, and a small generating set for conjugation sweeps.
-Each is filled on first use.  The chain gives order and membership
+:class:`ElementStore`, and one conjugation table per generator.  Each is
+filled on first use.  The chain gives order and membership
 unless a listing has them already: a listed group answers membership
 from its element set, and :meth:`Group.has_order`, the constructors'
 order check, lists a group of order below KEYED_MIN_ORDER with
@@ -28,7 +28,7 @@ O(|G| * |base|) instead of O(|G| * degree).
 
 Subgroups are held as id arrays.  ``ElementStore.mul`` gives the ids of
 products, and each group builds, on first use, one conjugation table per
-small generator (the id of g x g^-1 for every x), so conjugating a
+generator (the id of g x g^-1 for every x), so conjugating a
 subgroup is ``np.sort(table[ids])``.  From those tables each group also
 builds, on first use, its class labels: for every id, the least id in
 that element's conjugacy class, which is all the class sweeps read.
@@ -748,9 +748,9 @@ class Group:
     filled on first use: the chain, the order, the element list and set
     (all three from one :func:`mulclose` listing when :meth:`has_order`
     lists a small group by generators, which then builds no chain),
-    the store, the small generators, the conjugation tables and the class
-    labels, which depend only on the generator list or the element set, so
-    concurrent readers agree; and one memo that dies with the group,
+    the store, the conjugation tables (one table per generator) and the
+    class labels, which depend only on the generator list or the element
+    set, so concurrent readers agree; and one memo that dies with the group,
     ``_sylows`` (p to the Sylow p-subgroup that ``analysis.sylow`` found),
     which both verdict routes read.
     """
@@ -776,7 +776,6 @@ class Group:
         self._element_list: Optional[list[Perm]] = None
         self._element_set: Optional[frozenset[Perm]] = None
         self._store: Optional[ElementStore] = None
-        self._small_generators: Optional[tuple[Perm, ...]] = None
         self._conjugation_tables: Optional[list[np.ndarray]] = None
         self._class_labels: Optional[np.ndarray] = None
         self._sylows: dict[int, Group] = {}
@@ -890,23 +889,12 @@ class Group:
         store's base columns (:meth:`ElementStore.orders`)."""
         return self.store().orders(np.arange(self.order())).tolist()
 
-    def small_generators(self) -> tuple[Perm, ...]:
-        """A small generating set for conjugation sweeps (constructors often
-        hand over a dozen generators; two or three usually suffice)."""
-        if len(self.generators) <= 3:
-            return self.generators
-        if self._small_generators is None:
-            chain = StabilizerChain(self.degree, [])  # a scratch chain: G keeps its own
-            rows = self.store().E
-            self._small_generators = chain.sift_generators(rows[sorting_order(rows)], self.order())
-        return self._small_generators
-
     def conjugation_tables(self) -> list[np.ndarray]:
-        """One id table per small generator g, whose entry x is the id of
-        g x g^-1: conjugating a subgroup held as ids is ``np.sort(t[ids])``."""
+        """One id table per generator g, whose entry x is the id of g x g^-1:
+        conjugating a subgroup held as ids is ``np.sort(t[ids])``."""
         if self._conjugation_tables is None:
             S = self.store()
-            self._conjugation_tables = [S.conjugation_table(g) for g in self.small_generators()]
+            self._conjugation_tables = [S.conjugation_table(g) for g in self.generators]
         return self._conjugation_tables
 
     def class_labels(self) -> np.ndarray:

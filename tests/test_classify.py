@@ -414,7 +414,7 @@ def _ref_orbit(key, gens):
 def _ref_class_reps(G, p):
     P = sylow(G, p)
     subs = _ref_subgroups_of_p_group(P, p) if not P.is_trivial() else [P.element_set()]
-    gens = G.small_generators()
+    gens = G.generators
     seen, reps = set(), []
     for key in subs:
         if key in seen:
@@ -845,6 +845,19 @@ def test_basic1_matches_the_orbit_walk_on_random_subgroups(case):
     assert _check_basic1(ctx) == _check_basic1_by_orbits(ctx)
 
 
+def test_basic1_fails_when_q_has_a_larger_centralizer_than_p():
+    """C_2^2 x| C_9, the 9-cycle acting on the Klein four through its
+    quotient C_3: x^3 is central, so C(Q) = G for Q = <x^3> while
+    N(P) = C(P) = P.  The first clause holds and only the comparison over
+    the chain fails."""
+    v1, v2 = perm_from_cycles(13, [(0, 1), (2, 3)]), perm_from_cycles(13, [(0, 2), (1, 3)])
+    x = perm_from_cycles(13, [(0, 1, 2), (4, 5, 6, 7, 8, 9, 10, 11, 12)])
+    ctx = Context(Group(13, [v1, v2, x]), 3)
+    assert ctx.G.order() == 36 and ctx.P.order() == 9 and len(ctx.chain) == 2
+    assert not _check_basic1(ctx)
+    assert not _check_basic1_by_orbits(ctx)
+
+
 @pytest.mark.parametrize("spec, p", [("S:4", 3), ("D:18", 3), ("PSL2:13", 7)])
 def test_basic1_walks_no_conjugates(monkeypatch, spec, p):
     """With the context's chain, N(P) and C(P) built, basic1 passes without
@@ -866,6 +879,23 @@ def test_basic1_walks_no_conjugates(monkeypatch, spec, p):
     monkeypatch.setattr(G, "conjugation_tables", counting("tables", G.conjugation_tables))
     assert _check_basic1(ctx)
     assert calls == []
+
+
+def test_audits_never_run_the_stream(monkeypatch):
+    """The reports and the claim audit of every odd-p positive read only
+    their context: the definition route's stream is never reached, and
+    basic1 still passes wherever it applies."""
+
+    def stream(G, p):
+        raise AssertionError("the audit ran the cyclic-by-p stream")
+
+    monkeypatch.setattr(classify, "_cyclic_by_p_stream", stream)
+    applied = 0
+    for spec, p in BASIC1_PAIRS:
+        claims = {c["claim"]: c["status"] for c in _audit_doc(spec, build_group(spec), p)["claims"]}
+        assert claims["basic1"] in ("pass", "not-applicable"), (spec, p)
+        applied += claims["basic1"] == "pass"
+    assert applied >= 30
 
 
 @pytest.mark.parametrize("spec", ["A:4", "A:5", "PSL2:11"])

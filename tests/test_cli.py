@@ -266,7 +266,7 @@ def test_audit_violation_exit(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "spec,p,sylows",
     [
-        ("S:4", 3, 2),  # odd, basic1 applies: its stream asks for the Sylow again
+        ("S:4", 3, 1),  # odd, basic1 applies and reads the context's Sylow
         ("A:5", 2, 1),  # even
         ("D:18", 2, 1),  # cyclic Sylow
     ],
@@ -304,14 +304,13 @@ def test_audit_computes_core_and_sylow_once(capsys, monkeypatch, spec, p, sylows
 )
 def test_one_normalizer_and_centralizer_per_subgroup(capsys, monkeypatch, argv):
     """The criterion, the report and the claim audit of one request share
-    each N_G(H) and C_G(H) through their context's memo (Context.local);
-    basic1's cyclic-by-p stream on odd audits computes its own normalizers,
-    each once.  Calls are told apart by their caller."""
+    each N_G(H) and C_G(H) through their context's memo (Context.local),
+    and nothing else computes one, so each is computed at most once."""
     keys = {"normalizer": [], "centralizer": []}
 
     def counting(name, fn):
         def wrapper(G, H):
-            keys[name].append((sys._getframe(1).f_code.co_name, G.order(), H.element_set()))
+            keys[name].append((G.order(), H.element_set()))
             return fn(G, H)
 
         return wrapper

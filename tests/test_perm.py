@@ -514,10 +514,13 @@ def _brute_force_class_labels(G: Group) -> list[int]:
 
 
 @pytest.mark.parametrize(
-    "spec", ["C:1", "S:4", "D:10", "PGL2:5", "INV:15:8:klein", "PSL2:13", "DELPERM:5:A4"]
+    "spec",
+    ["C:1", "S:4", "D:10", "PGL2:5", "INV:15:8:klein", "PSL2:13", "PSL2:8", "PSL2:9", "PGL2:9", "DELPERM:5:A4"],
 )
 def test_class_labels_match_brute_force(spec):
+    """One conjugation table per generator of G, however many there are."""
     G = build_group(spec)
+    assert len(G.conjugation_tables()) == len(G.generators)
     assert G.class_labels().tolist() == _brute_force_class_labels(G)
 
 
@@ -528,7 +531,7 @@ def test_class_labels_of_groups_cut_by_ids_and_built_from_element_sets():
     cut = normalizer(G, sylow(G, 3))  # dihedral of order 12, cut by ids
     listed = sylow(build_group("S:4"), 2)  # D8, from its element set
     for H in (cut, listed):
-        assert len(H.small_generators()) >= 2
+        assert len(H.generators) >= 2
         assert H.class_labels().tolist() == _brute_force_class_labels(H)
 
 
